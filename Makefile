@@ -1,9 +1,15 @@
 GO ?= go
 
-.PHONY: check build test vet lint test-race fuzz bench bench-safecommit bench-parallel bench-obs bench-wal e1
+.PHONY: check check-perfbench build test vet lint test-race fuzz bench bench-safecommit bench-parallel bench-obs bench-wal e1
 
-## check: the tier-1 gate — vet, lint, build, and test everything.
-check: vet lint build test
+## check: the tier-1 gate — vet, lint, build, and test everything,
+## including the nested benchmark module.
+check: vet lint build test check-perfbench
+
+## check-perfbench: vet and test perfbench/, a nested module that `./...`
+## at the root skips, so an API change that breaks the benchmark fails here.
+check-perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 build:
 	$(GO) build ./...
@@ -38,7 +44,8 @@ test-race:
 
 ## fuzz: budgeted smoke run of the fuzz targets — the differential oracle
 ## (incremental vs baseline verdicts across all commit-check modes), the
-## group-commit attribution stream, and the parser round-trip property.
+## group-commit attribution stream, the parser round-trip property, and WAL
+## open + replay over mutated log and snapshot bytes.
 ## The checked-in corpora under testdata/fuzz/ replay as seeds on every
 ## plain `go test` run; this target additionally mutates for FUZZTIME each.
 FUZZTIME ?= 30s
@@ -46,6 +53,7 @@ fuzz:
 	$(GO) test ./internal/difftest -fuzz 'FuzzDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/difftest -fuzz 'FuzzAttribution$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqlparser -fuzz 'FuzzParseRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wal -fuzz 'FuzzWALOpen$$' -fuzztime $(FUZZTIME)
 
 ## bench: the full benchmark families (reduced scales; minutes).
 bench:

@@ -1,5 +1,5 @@
 // Benchmarks regenerating the paper's evaluation, one benchmark family per
-// table/figure (see DESIGN.md's experiment index):
+// table/figure (see README.md, "Running the experiments"):
 //
 //	BenchmarkE1Tintin / BenchmarkE1Baseline — the §1/§4 headline grid
 //	BenchmarkE2PerAssertion                 — assertions of different complexity

@@ -17,6 +17,7 @@ import (
 
 	"tintin/internal/edc"
 	"tintin/internal/engine"
+	"tintin/internal/frame"
 	"tintin/internal/logic"
 	"tintin/internal/obs"
 	"tintin/internal/sched"
@@ -688,23 +689,25 @@ func (t *Tool) safeCommit(root *obs.Span) (*CommitResult, error) {
 		// Durability point: the validated batch is appended to the WAL
 		// (and fsynced, per policy) before the in-memory apply, so an
 		// acknowledged commit survives a crash and an unacknowledged one
-		// leaves no trace. Validation runs first — the log must never
-		// hold a record ApplyEvents would refuse on replay.
-		if t.wal != nil && t.db.HasPendingEvents() {
-			if err := t.db.ValidateEvents(); err != nil {
-				t.db.TruncateEvents()
-				return nil, err
+		// leaves no trace. The "apply" span and tintin_apply_ns start
+		// after the append.
+		var as *obs.Span
+		var applyStart time.Time
+		err := t.db.ApplyEventsAfter(func() error {
+			if t.wal != nil && t.db.HasPendingEvents() {
+				if err := t.walAppend(root); err != nil {
+					return fmt.Errorf("tintin: wal append: %w", err)
+				}
 			}
-			if err := t.walAppend(root); err != nil {
-				t.db.TruncateEvents()
-				return nil, fmt.Errorf("tintin: wal append: %w", err)
-			}
-		}
-		as := root.Child("apply")
-		applyStart := time.Now()
-		err := t.db.ApplyEvents()
+			as = root.Child("apply")
+			applyStart = time.Now()
+			return nil
+		})
 		as.End()
 		if err != nil {
+			// Nothing was applied: drop the batch, as a rejection does, so
+			// the next commit starts from empty event tables.
+			t.db.TruncateEvents()
 			return nil, err
 		}
 		t.met.applyNS.ObserveDuration(time.Since(applyStart))
@@ -747,6 +750,10 @@ type Stats struct {
 	Runtime *obs.Snapshot `json:"runtime,omitempty"`
 }
 
+// assertionsMagic tags the assertion-list frame Save writes after the
+// database snapshot.
+const assertionsMagic = "TAST"
+
 // Save persists the full tool state — the database (including event tables,
 // pending events and the generated views) plus the assertion definitions —
 // so a TINTIN installation survives a restart, matching the demo's "TINTIN
@@ -763,7 +770,7 @@ func (t *Tool) Save(w io.Writer) error {
 	if err := gob.NewEncoder(&buf).Encode(sqls); err != nil {
 		return err
 	}
-	return storage.WriteBlock(w, storage.MagicAssertions, buf.Bytes())
+	return frame.Write(w, assertionsMagic, buf.Bytes())
 }
 
 // LoadTool restores a tool saved with Save: the database is reconstructed
@@ -773,9 +780,9 @@ func LoadTool(r io.Reader, opts Options) (*Tool, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload, err := storage.ReadBlock(r, storage.MagicAssertions)
+	payload, err := frame.Read(r, assertionsMagic)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tintin: snapshot assertions: %w", err)
 	}
 	var sqls []string
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&sqls); err != nil {

@@ -567,3 +567,57 @@ func TestRecoveryObservability(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedApplySameInBothModes: a batch that passes the assertion check
+// but cannot be applied (a duplicate primary key) fails the same way with
+// and without a WAL — the error is returned, the batch is dropped rather
+// than left pending to fail every later commit, nothing reaches the log,
+// and the next clean batch commits.
+func TestFailedApplySameInBothModes(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			opts := DefaultOptions()
+			reg := obs.NewRegistry()
+			opts.Metrics = reg
+			var tool *Tool
+			if durable {
+				opts.WALDir = t.TempDir()
+				var err error
+				if tool, err = OpenDurable(opts, buildFreshTool(t, opts)); err != nil {
+					t.Fatal(err)
+				}
+				defer tool.Close()
+			} else {
+				var err error
+				if tool, err = buildFreshTool(t, opts)(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			eng := tool.Engine()
+			mustExec(t, eng, `INSERT INTO orders VALUES (8, 80.0)`)
+			mustExec(t, eng, `INSERT INTO lineitem VALUES (8, 1, 1)`)
+			if res, err := tool.SafeCommit(); err != nil || !res.Committed {
+				t.Fatalf("first commit: %+v, %v", res, err)
+			}
+			before := dbState(tool.DB())
+
+			mustExec(t, eng, `INSERT INTO orders VALUES (8, 81.0)`)
+			if _, err := tool.SafeCommit(); err == nil || !strings.Contains(err.Error(), "duplicate primary key") {
+				t.Fatalf("duplicate-key commit = %v, want a duplicate primary key error", err)
+			}
+			assertNoPending(t, tool.DB())
+			if got := dbState(tool.DB()); got != before {
+				t.Fatalf("failed apply changed the database:\n%s", got)
+			}
+			if v := reg.Counter("tintin_wal_appends_total").Value(); v != map[bool]int64{false: 0, true: 1}[durable] {
+				t.Fatalf("appends = %d after the failed apply", v)
+			}
+
+			mustExec(t, eng, `INSERT INTO orders VALUES (9, 90.0)`)
+			mustExec(t, eng, `INSERT INTO lineitem VALUES (9, 1, 1)`)
+			if res, err := tool.SafeCommit(); err != nil || !res.Committed {
+				t.Fatalf("clean commit after the failed apply: %+v, %v", res, err)
+			}
+		})
+	}
+}

@@ -1,8 +1,8 @@
-// Package harness runs the paper's experiments (E1–E4 in DESIGN.md) and
-// formats their result tables: the E1 grid behind the headline numbers
-// (§1 ¶5, §4 ¶4), the E2 assertion-complexity sweep, the E3 trivial-
-// emptiness/demo experiment, and the E4 ablations of the semantic
-// optimizations.
+// Package harness runs the paper's experiments (E1–E4; see README.md,
+// "Running the experiments") and formats their result tables: the E1 grid
+// behind the headline numbers (§1 ¶5, §4 ¶4), the E2 assertion-complexity
+// sweep, the E3 trivial-emptiness/demo experiment, and the E4 ablations of
+// the semantic optimizations.
 package harness
 
 import (

@@ -19,7 +19,7 @@ import (
 var recognizedPrefixes = []string{
 	"tintin", "typecheck", "engine", "storage", "wal", "sched", "obs",
 	"harness", "tpch", "sqltypes", "sqlparser", "sqlgen", "logic", "edc",
-	"baseline", "difftest", "lint", "linttest",
+	"baseline", "difftest", "lint", "linttest", "frame",
 }
 
 // ErrPrefixAnalyzer enforces the error-message convention across

@@ -444,12 +444,23 @@ func (db *DB) validateEvents() error {
 // "disable the triggers, apply, re-enable" sequence. The replay is
 // all-or-nothing: it is validated up front, and on error the base tables
 // and the pending events are both untouched.
-func (db *DB) ApplyEvents() error {
+func (db *DB) ApplyEvents() error { return db.ApplyEventsAfter(nil) }
+
+// ApplyEventsAfter is ApplyEvents with a step between validation and the
+// replay: pre (when non-nil) runs only for a batch that validated, and
+// when it fails nothing is applied. A durable commit appends the batch to
+// its WAL there, so the log never holds a record the apply would refuse.
+func (db *DB) ApplyEventsAfter(pre func() error) error {
 	if err := db.writable("ApplyEvents"); err != nil {
 		return err
 	}
 	if err := db.validateEvents(); err != nil {
 		return err
+	}
+	if pre != nil {
+		if err := pre(); err != nil {
+			return err
+		}
 	}
 	saved := db.capture
 	db.capture = false

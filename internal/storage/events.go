@@ -26,8 +26,7 @@ func (db *DB) HasPendingEvents() bool {
 
 // ValidateEvents runs the pre-apply validation pass on the pending events
 // without applying them; a nil return proves a subsequent ApplyEvents on
-// this state cannot fail. The WAL appends only validated batches, so the
-// log never holds a record the in-memory apply would then refuse.
+// this state cannot fail.
 func (db *DB) ValidateEvents() error { return db.validateEvents() }
 
 // EncodeEvents writes the pending event-table contents to w.

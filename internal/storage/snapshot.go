@@ -6,8 +6,20 @@ import (
 	"fmt"
 	"io"
 
+	"tintin/internal/frame"
 	"tintin/internal/sqlparser"
 	"tintin/internal/sqltypes"
+)
+
+// snapshotMagic tags the database snapshot frame.
+const snapshotMagic = "TSNP"
+
+// ErrSnapshotCorrupt and ErrSnapshotTruncated are the frame codec's
+// sentinels: a snapshot whose bytes are present but wrong, and one that ends
+// before its framing says it should.
+var (
+	ErrSnapshotCorrupt   = frame.ErrCorrupt
+	ErrSnapshotTruncated = frame.ErrTruncated
 )
 
 // Snapshot wire format. Values are flattened because sqltypes.Value has
@@ -81,7 +93,7 @@ func fromWire(w wireValue) (sqltypes.Value, error) {
 }
 
 // Save writes a complete snapshot of the database (schemas, rows, views,
-// capture flag) to w, framed as a checksummed block (see WriteBlock) so
+// capture flag) to w, framed as one checksummed frame (package frame) so
 // torn or corrupted files are detected on load. Together with Load it
 // implements the demo's persistence story: TINTIN's generated artifacts
 // survive in the database and the tool can be "disconnected".
@@ -115,16 +127,16 @@ func (db *DB) Save(w io.Writer) error {
 	if err := gob.NewEncoder(&buf).Encode(&out); err != nil {
 		return err
 	}
-	return WriteBlock(w, MagicDB, buf.Bytes())
+	return frame.Write(w, snapshotMagic, buf.Bytes())
 }
 
 // Load reads a snapshot written by Save and returns the reconstructed
 // database. Truncated or corrupted files fail with ErrSnapshotTruncated /
 // ErrSnapshotCorrupt before any gob decoding is attempted.
 func Load(r io.Reader) (*DB, error) {
-	payload, err := ReadBlock(r, MagicDB)
+	payload, err := frame.Read(r, snapshotMagic)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tintin: snapshot: %w", err)
 	}
 	var in wireDB
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&in); err != nil {

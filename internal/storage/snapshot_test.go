@@ -134,27 +134,3 @@ func TestSnapshotCorruptLengthBounded(t *testing.T) {
 		t.Fatalf("Load = %v, want ErrSnapshotTruncated", err)
 	}
 }
-
-func TestBlockRoundTripComposes(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteBlock(&buf, "AAAA", []byte("first")); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBlock(&buf, "BBBB", nil); err != nil {
-		t.Fatal(err)
-	}
-	r := bytes.NewReader(buf.Bytes())
-	a, err := ReadBlock(r, "AAAA")
-	if err != nil || string(a) != "first" {
-		t.Fatalf("block A = %q, %v", a, err)
-	}
-	b, err := ReadBlock(r, "BBBB")
-	if err != nil || len(b) != 0 {
-		t.Fatalf("block B = %q, %v", b, err)
-	}
-	// Wrong expected magic is corruption, not truncation.
-	r2 := bytes.NewReader(buf.Bytes())
-	if _, err := ReadBlock(r2, "BBBB"); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Fatalf("magic mismatch = %v, want ErrSnapshotCorrupt", err)
-	}
-}

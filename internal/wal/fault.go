@@ -108,7 +108,7 @@ func (in *Injector) Crashed() bool {
 	return in.crashed
 }
 
-// enter is called by the log/store at each named point; nil-safe.
+// enter is called by the store at each named point; nil-safe.
 func (in *Injector) enter(p CrashPoint) error {
 	if in == nil {
 		return nil
@@ -144,7 +144,7 @@ func (in *Injector) dead() error {
 	return nil
 }
 
-// file is the log's backing-store contract; *osFile satisfies it directly,
+// file is the log's backing-store contract; *os.File satisfies it directly,
 // faultFile interposes the unsynced-write buffer.
 type file interface {
 	io.Writer
@@ -153,15 +153,6 @@ type file interface {
 	Sync() error
 	Truncate(size int64) error
 }
-
-// osFile is the production passthrough.
-type osFile os.File
-
-func (f *osFile) Write(p []byte) (int, error)                 { return (*os.File)(f).Write(p) }
-func (f *osFile) Close() error                                { return (*os.File)(f).Close() }
-func (f *osFile) Seek(off int64, whence int) (int64, error)   { return (*os.File)(f).Seek(off, whence) }
-func (f *osFile) Sync() error                                 { return (*os.File)(f).Sync() }
-func (f *osFile) Truncate(size int64) error                   { return (*os.File)(f).Truncate(size) }
 
 // faultFile models the page cache honestly: writes accumulate in pending
 // and reach the real file only on Sync. A simulated crash flushes the

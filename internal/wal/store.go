@@ -1,8 +1,8 @@
 // Store ties the log and the snapshot checkpoints into one durable
 // directory:
 //
-//	<dir>/snapshot   latest checkpoint (TWSP header, payload, trailing CRC)
-//	<dir>/wal.log    records appended since that checkpoint
+//	<dir>/snapshot   latest checkpoint: a frame holding lastSeq(8) and the payload
+//	<dir>/wal.log    a header frame holding startSeq(8), then one frame per record
 //
 // Checkpoint protocol: write snapshot.tmp, fsync it, rename over snapshot,
 // fsync the directory, then reset the log to start at lastSeq+1. A crash
@@ -15,33 +15,38 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"time"
+
+	"tintin/internal/frame"
 )
 
 const (
 	snapshotName = "snapshot"
 	tmpName      = "snapshot.tmp"
 	logName      = "wal.log"
-
-	// Snapshot framing: magic(4) ver(1) lastSeq(8) payloadLen(8), then the
-	// payload, then crc(4) over ver+lastSeq+len+payload.
-	snapHeaderSize = 21
+	snapMagic    = "TWSP"
 )
 
 // Store is the durable state of one tool: snapshot + WAL tail.
 type Store struct {
 	dir string
 	o   Options
-	log *Log
 
-	snap     []byte // snapshot payload read at open (nil if none)
-	snapSeq  uint64 // lastSeq recorded in that snapshot
-	hasSnap  bool
-	tail     []Record // valid log records found at open
-	replayed bool
+	// The log file and its append state.
+	f        file
+	size     int64  // bytes acknowledged into the log (header + records)
+	nextSeq  uint64 // sequence number of the next append
+	lastSync time.Time
+	buf      bytes.Buffer // reusable frame encode buffer
+	recHdr   [9]byte      // seq and type of the record being appended
+
+	snap    []byte // snapshot payload read at open (nil if none)
+	snapSeq uint64 // lastSeq recorded in that snapshot
+	hasSnap bool
+	tail    []record // valid log records found at open
 }
 
 // OpenStore opens (creating if needed) the durable directory. Corrupt
@@ -55,26 +60,20 @@ func OpenStore(dir string, o Options) (*Store, error) {
 	os.Remove(filepath.Join(dir, tmpName))
 
 	s := &Store{dir: dir, o: o}
-	snap, lastSeq, found, err := readSnapshotFile(filepath.Join(dir, snapshotName))
-	if err != nil {
+	if err := s.readSnapshot(); err != nil {
 		return nil, err
 	}
-	s.snap, s.snapSeq, s.hasSnap = snap, lastSeq, found
-
-	l, err := openLog(filepath.Join(dir, logName), lastSeq+1, o)
-	if err != nil {
+	if err := s.openLog(); err != nil {
 		return nil, err
 	}
-	s.log = l
-	s.tail = l.TakeTail()
-	if !found && len(s.tail) > 0 {
-		l.Close()
+	if !s.hasSnap && len(s.tail) > 0 {
+		s.f.Close()
 		return nil, fmt.Errorf("%w: %s holds wal records but no snapshot", ErrCorrupt, dir)
 	}
-	if found && l.NextSeq() <= lastSeq && len(s.tail) == 0 {
+	if s.hasSnap && s.nextSeq <= s.snapSeq && len(s.tail) == 0 {
 		// An empty log can only start at or after lastSeq+1.
-		l.Close()
-		return nil, fmt.Errorf("%w: log in %s starts at seq %d behind snapshot seq %d", ErrCorrupt, dir, l.NextSeq(), lastSeq)
+		s.f.Close()
+		return nil, fmt.Errorf("%w: log in %s starts at seq %d behind snapshot seq %d", ErrCorrupt, dir, s.nextSeq, s.snapSeq)
 	}
 	return s, nil
 }
@@ -88,16 +87,15 @@ func (s *Store) Snapshot() ([]byte, bool) { return s.snap, s.hasSnap }
 func (s *Store) Replay(fn func(seq uint64, payload []byte) error) (int, error) {
 	n := 0
 	for _, r := range s.tail {
-		if s.hasSnap && r.Seq <= s.snapSeq {
+		if s.hasSnap && r.seq <= s.snapSeq {
 			continue
 		}
-		if err := fn(r.Seq, r.Payload); err != nil {
-			return n, fmt.Errorf("wal: replaying record %d: %w", r.Seq, err)
+		if err := fn(r.seq, r.payload); err != nil {
+			return n, fmt.Errorf("wal: replaying record %d: %w", r.seq, err)
 		}
 		n++
 		s.o.Metrics.Replayed.Inc()
 	}
-	s.replayed = true
 	s.tail = nil
 	s.snap = nil // release; recovery is done with it
 	return n, nil
@@ -106,20 +104,6 @@ func (s *Store) Replay(fn func(seq uint64, payload []byte) error) (int, error) {
 // TailLen reports how many valid records the log held at open (including
 // any the snapshot already covers).
 func (s *Store) TailLen() int { return len(s.tail) }
-
-// Append writes one event-batch record and applies the fsync policy,
-// returning its sequence number. The post-fsync-pre-apply fault point
-// fires here, after the record is durable per policy.
-func (s *Store) Append(payload []byte) (uint64, error) {
-	seq, err := s.log.Append(payload)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.o.Injector.enter(PointPostFsyncPreApply); err != nil {
-		return seq, err
-	}
-	return seq, nil
-}
 
 // Checkpoint atomically replaces the snapshot with the payload written by
 // write and truncates the log. After it returns, recovery needs only the
@@ -130,43 +114,27 @@ func (s *Store) Checkpoint(write func(w io.Writer) error) error {
 	}
 	// Everything the snapshot will contain must be at least as durable as
 	// the log it supersedes.
-	if err := s.log.Sync(); err != nil {
+	if err := s.syncFile(); err != nil {
 		return err
 	}
-	lastSeq := s.log.NextSeq() - 1
+	lastSeq := s.nextSeq - 1
 
 	var payload bytes.Buffer
 	if err := write(&payload); err != nil {
 		return err
 	}
-	var hdr [snapHeaderSize]byte
-	copy(hdr[:4], snapMagic)
-	hdr[4] = version
-	binary.LittleEndian.PutUint64(hdr[5:13], lastSeq)
-	binary.LittleEndian.PutUint64(hdr[13:21], uint64(payload.Len()))
-	crc := crc32.New(castagnoli)
-	crc.Write(hdr[4:21])
-	crc.Write(payload.Bytes())
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc.Sum32())
+	var seq [8]byte
+	binary.LittleEndian.PutUint64(seq[:], lastSeq)
 
 	tmp := filepath.Join(s.dir, tmpName)
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	werr := func() error {
-		if _, err := f.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := f.Write(payload.Bytes()); err != nil {
-			return err
-		}
-		if _, err := f.Write(crcBuf[:]); err != nil {
-			return err
-		}
-		return f.Sync()
-	}()
+	werr := frame.Write(f, snapMagic, seq[:], payload.Bytes())
+	if werr == nil {
+		werr = f.Sync()
+	}
 	if werr != nil {
 		f.Close()
 		os.Remove(tmp)
@@ -184,7 +152,7 @@ func (s *Store) Checkpoint(write func(w io.Writer) error) error {
 	if err := s.o.Injector.enter(PointMidCheckpoint); err != nil {
 		return err
 	}
-	if err := s.log.Reset(lastSeq + 1); err != nil {
+	if err := s.resetLog(lastSeq + 1); err != nil {
 		return err
 	}
 	s.o.Metrics.Checkpoints.Inc()
@@ -192,51 +160,42 @@ func (s *Store) Checkpoint(write func(w io.Writer) error) error {
 	return nil
 }
 
-// Sync forces buffered appends down regardless of policy.
-func (s *Store) Sync() error { return s.log.Sync() }
-
 // Close syncs and closes the log. Safe after an injected crash (the crash
 // already decided what survived).
 func (s *Store) Close() error {
 	if s.o.Injector.Crashed() {
-		return s.log.f.Close()
+		return s.f.Close()
 	}
-	return s.log.Close()
+	serr := s.f.Sync()
+	cerr := s.f.Close()
+	if serr != nil {
+		return serr
+	}
+	return cerr
 }
 
-// Dir returns the durable directory path.
-func (s *Store) Dir() string { return s.dir }
-
-// readSnapshotFile loads and verifies a checkpoint file. found=false when
-// the file does not exist; corruption or truncation is a hard error (the
-// snapshot is written atomically — tears cannot be torn writes).
-func readSnapshotFile(path string) (payload []byte, lastSeq uint64, found bool, err error) {
+// readSnapshot loads and verifies the checkpoint file, if there is one.
+// Corruption or truncation is a hard error (the snapshot is written
+// atomically — tears cannot be torn writes).
+func (s *Store) readSnapshot() error {
+	path := filepath.Join(s.dir, snapshotName)
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return nil, 0, false, nil
+		return nil
 	}
 	if err != nil {
-		return nil, 0, false, err
+		return err
 	}
-	if len(data) < snapHeaderSize+4 {
-		return nil, 0, false, fmt.Errorf("%w: snapshot %s truncated", ErrCorrupt, path)
+	body, n, err := frame.Parse(data, snapMagic)
+	switch {
+	case err != nil:
+		return fmt.Errorf("%w: snapshot %s: %v", ErrCorrupt, path, err)
+	case n != len(data) || len(body) < 8:
+		return fmt.Errorf("%w: snapshot %s is malformed", ErrCorrupt, path)
 	}
-	if string(data[:4]) != snapMagic || data[4] != version {
-		return nil, 0, false, fmt.Errorf("%w: snapshot %s has bad header", ErrCorrupt, path)
-	}
-	lastSeq = binary.LittleEndian.Uint64(data[5:13])
-	plen := binary.LittleEndian.Uint64(data[13:21])
-	if uint64(len(data)) != snapHeaderSize+plen+4 {
-		return nil, 0, false, fmt.Errorf("%w: snapshot %s truncated", ErrCorrupt, path)
-	}
-	body := data[snapHeaderSize : snapHeaderSize+plen]
-	crc := crc32.New(castagnoli)
-	crc.Write(data[4:21])
-	crc.Write(body)
-	if binary.LittleEndian.Uint32(data[len(data)-4:]) != crc.Sum32() {
-		return nil, 0, false, fmt.Errorf("%w: snapshot %s checksum mismatch", ErrCorrupt, path)
-	}
-	return body, lastSeq, true, nil
+	s.snapSeq = binary.LittleEndian.Uint64(body)
+	s.snap, s.hasSnap = body[8:], true
+	return nil
 }
 
 // syncDir fsyncs a directory so a rename within it is durable; best-effort

@@ -2,24 +2,25 @@
 // applied event batches plus snapshot checkpoints, so a TINTIN instance
 // survives process death. The paper's design funnels every update through
 // the event tables before ApplyEvents, which makes the applied batch the
-// natural redo-log unit: one length-prefixed, CRC-checksummed,
-// sequence-numbered record per committed batch, appended (and fsynced,
-// per policy) before the in-memory apply. Recovery loads the latest valid
-// snapshot and replays the log tail; a torn final record — the signature
-// of a crash mid-append — is truncated away, while corruption anywhere
-// else in the log is a hard error.
+// natural redo-log unit: one sequence-numbered record per committed batch,
+// appended (and fsynced, per policy) before the in-memory apply. The log
+// header, every record and the checkpoint file are frames of package frame.
+// Recovery loads the latest valid snapshot and replays the log tail; a
+// torn final record — the signature of a crash mid-append — is truncated
+// away, while corruption anywhere else in the log is a hard error.
 package wal
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
+	"tintin/internal/frame"
 	"tintin/internal/obs"
 )
 
@@ -64,9 +65,9 @@ func (p SyncPolicy) String() string {
 	return fmt.Sprintf("SyncPolicy(%d)", int(p))
 }
 
-// Metrics holds the direct metric pointers the log publishes into. All
+// Metrics holds the direct metric pointers the store publishes into. All
 // fields may be nil (obs primitives are nil-receiver-safe), so an
-// unmetered log costs one predictable branch per site.
+// unmetered store costs one predictable branch per site.
 type Metrics struct {
 	Appends     *obs.Counter
 	AppendBytes *obs.Counter
@@ -80,7 +81,7 @@ type Metrics struct {
 	TornTruncations *obs.Counter
 }
 
-// Options configures a Store / Log.
+// Options configures a Store.
 type Options struct {
 	Sync SyncPolicy
 	// SyncInterval is the fsync period under SyncInterval (default 100ms).
@@ -96,220 +97,175 @@ type Options struct {
 }
 
 const (
-	logMagic  = "TWAL"
-	snapMagic = "TWSP"
-	version   = 1
+	logMagic = "TWAL"
+	recMagic = "TREC"
 
-	// Log header: magic(4) ver(1) startSeq(8) crc(4).
-	logHeaderSize = 17
-	// Record header: payloadLen(4) crc(4) seq(8) type(1); crc covers
-	// seq+type+payload.
-	recHeaderSize      = 17
+	// The log header frame's body is startSeq(8).
+	logHeaderSize = frame.Overhead + 8
+	// A record frame's body is seq(8) type(1) payload; recHeaderSize is
+	// the record's byte count before its payload.
+	recHeaderSize      = frame.HeaderSize + 9
 	recTypeEvents      = 1
 	defaultFsyncPeriod = 100 * time.Millisecond
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt reports unrecoverable log damage: a bad header, a checksum
 // mismatch before the final record, or a sequence-number gap. Torn final
 // records are NOT this error — they are silently truncated.
 var ErrCorrupt = errors.New("wal: log corrupt")
 
-// Record is one replayable log entry.
-type Record struct {
-	Seq     uint64
-	Payload []byte
+// record is one replayable log entry found at open.
+type record struct {
+	seq     uint64
+	payload []byte
 }
 
-// Log is an append-only record log backed by one file.
-type Log struct {
-	f       file
-	path    string
-	nextSeq uint64
-	size    int64 // bytes acknowledged into the file (header + records)
-	o       Options
-	lastSync time.Time
-	buf      []byte
-	// tail holds the valid records found at open, until TakeTail.
-	tail []Record
-}
-
-// openLog opens (creating if absent) the log at path. A fresh or torn-empty
-// log is initialized with startSeq; an existing valid log keeps its own.
-// The valid records found are held for TakeTail.
-func openLog(path string, startSeq uint64, o Options) (*Log, error) {
+// openLog opens (creating if absent) the log file. A fresh or torn-empty
+// log is started right after the snapshot's lastSeq; an existing valid log
+// keeps its own start. The valid records found are held for Replay.
+func (s *Store) openLog() error {
+	path := filepath.Join(s.dir, logName)
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
-		return nil, err
+		return err
 	}
-	l := &Log{path: path, o: o}
-
-	fresh := false
+	end := 0 // length of the valid prefix; 0 starts a fresh log
 	switch {
 	case len(data) == 0:
-		fresh = true
 	case len(data) < logHeaderSize:
 		// Torn header (crash while initializing the log): treat as fresh.
-		fresh = true
-		o.Metrics.TornTruncations.Inc()
-		o.Logger.Warn("wal: dropping torn log header", "path", path, "bytes", len(data))
+		s.o.Metrics.TornTruncations.Inc()
+		s.o.Logger.Warn("wal: dropping torn log header", "path", path, "bytes", len(data))
 	default:
-		if string(data[:4]) != logMagic || data[4] != version {
-			return nil, fmt.Errorf("%w: bad header in %s", ErrCorrupt, path)
+		body, n, err := frame.Parse(data, logMagic)
+		if err != nil || len(body) != 8 {
+			return fmt.Errorf("%w: bad header in %s", ErrCorrupt, path)
 		}
-		want := binary.LittleEndian.Uint32(data[13:17])
-		if crc32.Checksum(data[:13], castagnoli) != want {
-			return nil, fmt.Errorf("%w: header checksum mismatch in %s", ErrCorrupt, path)
-		}
-		l.nextSeq = binary.LittleEndian.Uint64(data[5:13])
-	}
-
-	truncateTo := int64(logHeaderSize)
-	if fresh {
-		l.nextSeq = startSeq
-		truncateTo = 0
-	} else {
-		var err error
-		truncateTo, err = l.scan(data)
-		if err != nil {
-			return nil, err
+		s.nextSeq = binary.LittleEndian.Uint64(body)
+		if end, err = s.scan(data, n, path); err != nil {
+			return err
 		}
 	}
 
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if o.Injector != nil {
-		l.f = newFaultFile(f, o.Injector)
+	s.f = f
+	if s.o.Injector != nil {
+		s.f = newFaultFile(f, s.o.Injector)
+	}
+	if end == 0 {
+		err = s.resetLog(s.snapSeq + 1)
 	} else {
-		l.f = (*osFile)(f)
+		err = s.dropTornTail(data, end, path)
 	}
-	if fresh {
-		if err := l.writeHeader(); err != nil {
-			f.Close()
-			return nil, err
-		}
-	} else {
-		if truncateTo < int64(len(data)) {
-			// Drop the torn tail so appends extend a clean prefix.
-			o.Metrics.TornTruncations.Inc()
-			o.Logger.Warn("wal: truncating torn tail", "path", path,
-				"dropped_bytes", int64(len(data))-truncateTo, "valid_records", len(l.tail))
-			if err := l.f.Truncate(truncateTo); err != nil {
-				f.Close()
-				return nil, err
-			}
-			if err := l.f.Sync(); err != nil {
-				f.Close()
-				return nil, err
-			}
-		}
-		if _, err := l.f.Seek(truncateTo, io.SeekStart); err != nil {
-			f.Close()
-			return nil, err
-		}
-		l.size = truncateTo
-	}
-	l.lastSync = time.Now()
-	return l, nil
-}
-
-// scan validates the record stream in data and returns the byte offset of
-// the end of the last valid record. The torn-tail rule: an incomplete
-// record at EOF, or a complete record whose checksum fails exactly at EOF,
-// is a torn write — drop it. A checksum failure with more bytes after the
-// record is mid-log corruption — hard error.
-func (l *Log) scan(data []byte) (int64, error) {
-	off := logHeaderSize
-	for off < len(data) {
-		if len(data)-off < recHeaderSize {
-			break // torn: partial record header at EOF
-		}
-		plen := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		end := off + recHeaderSize + plen
-		if plen < 0 || end > len(data) || end < off {
-			break // torn: record body extends past EOF
-		}
-		want := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if crc32.Checksum(data[off+8:end], castagnoli) != want {
-			if end == len(data) {
-				break // torn: the final record's bytes were only partially persisted
-			}
-			return 0, fmt.Errorf("%w: record checksum mismatch at offset %d in %s", ErrCorrupt, off, l.path)
-		}
-		seq := binary.LittleEndian.Uint64(data[off+8 : off+16])
-		if seq != l.nextSeq {
-			return 0, fmt.Errorf("%w: sequence gap at offset %d in %s: got %d, want %d", ErrCorrupt, off, l.path, seq, l.nextSeq)
-		}
-		if typ := data[off+16]; typ != recTypeEvents {
-			return 0, fmt.Errorf("%w: unknown record type %d at offset %d in %s", ErrCorrupt, typ, off, l.path)
-		}
-		payload := make([]byte, plen)
-		copy(payload, data[off+recHeaderSize:end])
-		l.tail = append(l.tail, Record{Seq: seq, Payload: payload})
-		l.nextSeq++
-		off = end
-	}
-	return int64(off), nil
-}
-
-// TakeTail returns the valid records found at open and releases them.
-func (l *Log) TakeTail() []Record {
-	t := l.tail
-	l.tail = nil
-	return t
-}
-
-func (l *Log) writeHeader() error {
-	var h [logHeaderSize]byte
-	copy(h[:4], logMagic)
-	h[4] = version
-	binary.LittleEndian.PutUint64(h[5:13], l.nextSeq)
-	binary.LittleEndian.PutUint32(h[13:17], crc32.Checksum(h[:13], castagnoli))
-	if err := l.f.Truncate(0); err != nil {
+	if err != nil {
+		f.Close()
 		return err
 	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	if _, err := l.f.Write(h[:]); err != nil {
-		return err
-	}
-	if err := l.syncFile(); err != nil {
-		return err
-	}
-	l.size = logHeaderSize
+	s.lastSync = time.Now()
 	return nil
 }
 
-// Append encodes payload as the next record and applies the fsync policy.
-// On any error the log file is rewound to its pre-append size, so a failed
-// append never leaves bytes a later append would build on.
-func (l *Log) Append(payload []byte) (uint64, error) {
-	inj := l.o.Injector
+// scan validates the record frames in data from off on, collecting the
+// valid ones, and returns the offset just past the last valid record. The
+// torn-tail rule: an incomplete frame at EOF, or a complete one whose
+// checksum fails exactly at EOF, is a torn write — drop it. A checksum
+// failure with more bytes after the frame is mid-log corruption — hard
+// error.
+func (s *Store) scan(data []byte, off int, path string) (int, error) {
+	for off < len(data) {
+		body, n, err := frame.Parse(data[off:], recMagic)
+		if err != nil {
+			if errors.Is(err, frame.ErrTruncated) || off+n == len(data) {
+				break // torn: the final record's bytes were only partially persisted
+			}
+			return 0, fmt.Errorf("%w: record at offset %d in %s: %v", ErrCorrupt, off, path, err)
+		}
+		if len(body) < 9 {
+			return 0, fmt.Errorf("%w: short record at offset %d in %s", ErrCorrupt, off, path)
+		}
+		if seq := binary.LittleEndian.Uint64(body); seq != s.nextSeq {
+			return 0, fmt.Errorf("%w: sequence gap at offset %d in %s: got %d, want %d", ErrCorrupt, off, path, seq, s.nextSeq)
+		}
+		if typ := body[8]; typ != recTypeEvents {
+			return 0, fmt.Errorf("%w: unknown record type %d at offset %d in %s", ErrCorrupt, typ, off, path)
+		}
+		s.tail = append(s.tail, record{seq: s.nextSeq, payload: body[9:len(body):len(body)]})
+		s.nextSeq++
+		off += n
+	}
+	return off, nil
+}
+
+// dropTornTail truncates the log to its valid prefix end, so appends
+// extend a clean prefix, and positions the file there.
+func (s *Store) dropTornTail(data []byte, end int, path string) error {
+	if end < len(data) {
+		s.o.Metrics.TornTruncations.Inc()
+		s.o.Logger.Warn("wal: truncating torn tail", "path", path,
+			"dropped_bytes", len(data)-end, "valid_records", len(s.tail))
+		if err := s.f.Truncate(int64(end)); err != nil {
+			return err
+		}
+		if err := s.f.Sync(); err != nil {
+			return err
+		}
+	}
+	s.size = int64(end)
+	_, err := s.f.Seek(s.size, io.SeekStart)
+	return err
+}
+
+// resetLog truncates the log and starts a new record stream at startSeq:
+// a fresh log, or the post-checkpoint compaction step.
+func (s *Store) resetLog(startSeq uint64) error {
+	var seq [8]byte
+	binary.LittleEndian.PutUint64(seq[:], startSeq)
+	s.buf.Reset()
+	frame.Write(&s.buf, logMagic, seq[:]) // a bytes.Buffer write cannot fail
+	if err := s.f.Truncate(0); err != nil {
+		return err
+	}
+	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
+		return err
+	}
+	if _, err := s.f.Write(s.buf.Bytes()); err != nil {
+		return err
+	}
+	if err := s.syncFile(); err != nil {
+		return err
+	}
+	s.size = int64(s.buf.Len())
+	s.nextSeq = startSeq
+	return nil
+}
+
+// Append writes one event-batch record, applies the fsync policy and
+// returns the record's sequence number. On any error before the record is
+// durable the log file is rewound to its pre-append size, so a failed
+// append never leaves bytes a later append would build on. The
+// post-fsync-pre-apply fault point fires last, after the record is durable
+// per policy.
+func (s *Store) Append(payload []byte) (uint64, error) {
+	inj := s.o.Injector
 	if err := inj.enter(PointPreAppend); err != nil {
 		return 0, err
 	}
-	need := recHeaderSize + len(payload)
-	if cap(l.buf) < need {
-		l.buf = make([]byte, need)
-	}
-	rec := l.buf[:need]
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(rec[8:16], l.nextSeq)
-	rec[16] = recTypeEvents
-	copy(rec[recHeaderSize:], payload)
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(rec[8:], castagnoli))
+	binary.LittleEndian.PutUint64(s.recHdr[:8], s.nextSeq)
+	s.recHdr[8] = recTypeEvents
+	s.buf.Reset()
+	frame.Write(&s.buf, recMagic, s.recHdr[:], payload) // a bytes.Buffer write cannot fail
+	rec := s.buf.Bytes()
 
 	rewind := func(err error) (uint64, error) {
-		if terr := l.f.Truncate(l.size); terr == nil {
-			l.f.Seek(l.size, io.SeekStart)
+		if terr := s.f.Truncate(s.size); terr == nil {
+			s.f.Seek(s.size, io.SeekStart)
 		}
 		return 0, err
 	}
-	if _, err := l.f.Write(rec); err != nil {
+	if _, err := s.f.Write(rec); err != nil {
 		return rewind(err)
 	}
 	// The record is in the OS (or the fault buffer) but not yet durable.
@@ -319,66 +275,45 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	if err := inj.enter(PointPostAppendPreFsync); err != nil {
 		return rewind(err)
 	}
-	if err := l.maybeSync(); err != nil {
+	if err := s.maybeSync(); err != nil {
 		return rewind(err)
 	}
-	l.size += int64(need)
-	seq := l.nextSeq
-	l.nextSeq++
-	m := l.o.Metrics
+	s.size += int64(len(rec))
+	seq := s.nextSeq
+	s.nextSeq++
+	m := s.o.Metrics
 	m.Appends.Inc()
-	m.AppendBytes.Add(int64(need))
+	m.AppendBytes.Add(int64(len(rec)))
+	if err := inj.enter(PointPostFsyncPreApply); err != nil {
+		return seq, err
+	}
 	return seq, nil
 }
 
-func (l *Log) maybeSync() error {
-	switch l.o.Sync {
+func (s *Store) maybeSync() error {
+	switch s.o.Sync {
 	case SyncAlways:
-		return l.syncFile()
+		return s.syncFile()
 	case SyncInterval:
-		period := l.o.SyncInterval
+		period := s.o.SyncInterval
 		if period <= 0 {
 			period = defaultFsyncPeriod
 		}
-		if time.Since(l.lastSync) >= period {
-			return l.syncFile()
+		if time.Since(s.lastSync) >= period {
+			return s.syncFile()
 		}
-		return nil
 	}
 	return nil
 }
 
-func (l *Log) syncFile() error {
+func (s *Store) syncFile() error {
 	start := time.Now()
-	if err := l.f.Sync(); err != nil {
+	if err := s.f.Sync(); err != nil {
 		return err
 	}
-	l.lastSync = time.Now()
-	m := l.o.Metrics
+	s.lastSync = time.Now()
+	m := s.o.Metrics
 	m.Fsyncs.Inc()
 	m.FsyncNS.ObserveDuration(time.Since(start))
 	return nil
-}
-
-// Sync forces buffered appends to disk regardless of policy.
-func (l *Log) Sync() error { return l.syncFile() }
-
-// Reset truncates the log and starts a new record stream at startSeq —
-// the post-checkpoint compaction step.
-func (l *Log) Reset(startSeq uint64) error {
-	l.nextSeq = startSeq
-	return l.writeHeader()
-}
-
-// NextSeq returns the sequence number the next append will receive.
-func (l *Log) NextSeq() uint64 { return l.nextSeq }
-
-// Close syncs and closes the file.
-func (l *Log) Close() error {
-	serr := l.f.Sync()
-	cerr := l.f.Close()
-	if serr != nil {
-		return serr
-	}
-	return cerr
 }

@@ -15,7 +15,7 @@ import (
 	"tintin/internal/obs"
 )
 
-func openTestStore(t *testing.T, dir string, o Options) *Store {
+func openTestStore(t testing.TB, dir string, o Options) *Store {
 	t.Helper()
 	s, err := OpenStore(dir, o)
 	if err != nil {
@@ -24,7 +24,7 @@ func openTestStore(t *testing.T, dir string, o Options) *Store {
 	return s
 }
 
-func mustAppend(t *testing.T, s *Store, payload string) uint64 {
+func mustAppend(t testing.TB, s *Store, payload string) uint64 {
 	t.Helper()
 	seq, err := s.Append([]byte(payload))
 	if err != nil {
@@ -101,7 +101,7 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 }
 
 // corrupt opens the raw log file and returns its bytes plus a writer-back.
-func rawLog(t *testing.T, dir string) ([]byte, func([]byte)) {
+func rawLog(t testing.TB, dir string) ([]byte, func([]byte)) {
 	t.Helper()
 	path := filepath.Join(dir, logName)
 	data, err := os.ReadFile(path)
@@ -115,7 +115,7 @@ func rawLog(t *testing.T, dir string) ([]byte, func([]byte)) {
 	}
 }
 
-func buildLogWith3Records(t *testing.T) string {
+func buildLogWith3Records(t testing.TB) string {
 	t.Helper()
 	dir := t.TempDir()
 	s := openTestStore(t, dir, Options{})
@@ -480,8 +480,10 @@ func TestTornTailObservability(t *testing.T) {
 		t.Fatalf("torn truncations = %d, want 1", got)
 	}
 	out := logBuf.String()
-	// The drop covers the whole partial record, not just the missing bytes.
-	if !strings.Contains(out, "truncating torn tail") || !strings.Contains(out, "dropped_bytes=25") ||
+	// The drop covers the whole partial record (header and payload; its
+	// checksum was torn off), not just the missing bytes.
+	dropped := fmt.Sprintf("dropped_bytes=%d", recHeaderSize+len("record-three"))
+	if !strings.Contains(out, "truncating torn tail") || !strings.Contains(out, dropped) ||
 		!strings.Contains(out, "valid_records=2") {
 		t.Fatalf("torn-tail warn record missing or wrong:\n%s", out)
 	}
