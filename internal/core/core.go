@@ -286,6 +286,17 @@ func (c schemaInfo) TableColumns(name string) ([]string, bool) {
 	return tb.Schema().ColumnNames(), true
 }
 
+// ColumnNotNull reports whether the base table's column can never hold NULL
+// (declared NOT NULL; storage marks primary-key columns NOT NULL too).
+func (c schemaInfo) ColumnNotNull(table, column string) bool {
+	tb := c.db.Table(table)
+	if tb == nil {
+		return false
+	}
+	i := tb.Schema().ColumnIndex(column)
+	return i >= 0 && tb.Schema().Columns[i].NotNull
+}
+
 func (c schemaInfo) PrimaryKey(name string) []string {
 	tb := c.db.Table(name)
 	if tb == nil {

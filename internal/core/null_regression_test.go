@@ -1,12 +1,14 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"tintin/internal/baseline"
 	"tintin/internal/engine"
 	"tintin/internal/sqltypes"
 	"tintin/internal/storage"
+	"tintin/internal/tpch"
 )
 
 // Minimized reproducers for NULL three-valued-logic divergences between the
@@ -38,7 +40,45 @@ CREATE TABLE c (pk INTEGER NOT NULL, fk INTEGER, PRIMARY KEY (pk));`); err != ni
 	if err != nil {
 		t.Fatal(err)
 	}
+	delProbed(t, tool)
 	return db, eng, tool, bl
+}
+
+// delProbed asserts that the NULL-safe row-identity matches against del_
+// tables — the NOT EXISTS (SELECT … FROM del_T …) subplans of the new-state
+// subtraction — compile to index probes: the fix for the bugs below must
+// not cost a scan of the deletion delta per outer row.
+func delProbed(t *testing.T, tool *Tool) {
+	t.Helper()
+	ex, err := tool.Explain("fz0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := 0
+	var walk func(br engine.ExplainBranch, inSub bool)
+	walk = func(br engine.ExplainBranch, inSub bool) {
+		for _, s := range br.Sources {
+			if _, isIns, isEvt := storage.IsEventTable(s.Table); inSub && isEvt && !isIns {
+				found++
+				if s.Access != "probe" {
+					t.Errorf("%s reached by %s, want probe", s.Table, s.Access)
+				}
+			}
+		}
+		for _, sq := range br.Subplans {
+			for _, sub := range sq.Branches {
+				walk(sub, true)
+			}
+		}
+	}
+	for _, v := range ex.Views {
+		for _, br := range v.Branches {
+			walk(br, false)
+		}
+	}
+	if found == 0 {
+		t.Fatal("no del_ match found in the compiled views")
+	}
 }
 
 // agree stages nothing itself; it runs the baseline prediction, then the
@@ -126,4 +166,37 @@ func TestNullChildDeleteRestoresConsistency(t *testing.T) {
 	})
 	must(err)
 	agree(t, db, tool, bl, false)
+}
+
+// TestNotNullPrunesNullEDCs pins the EDC count of the NOT IN referential
+// assertion on both sides of the nullability line. orderHasCustomer reads
+// o_custkey NOT NULL and the key c_custkey, so the tri-valued expansion's
+// NULL cases are impossible and it compiles to the same 3 EDCs as the plain
+// NOT EXISTS form. fz0's nullable c.fk keeps its NULL-case EDCs (only the
+// p.pk IS NULL probe over the key goes).
+func TestNotNullPrunesNullEDCs(t *testing.T) {
+	db, _, err := tpch.NewDatabase("edcs", tpch.ScaleOrders("tiny", 50), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tool := New(db, DefaultOptions())
+	if err := tool.Install(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := tool.AddAssertion(tpch.AssertionOrderHasCustomer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(a.EDCs.EDCs); n != 3 {
+		t.Errorf("orderHasCustomer: %d EDCs, want 3:\n%s", n, a.Denial)
+	}
+
+	_, _, nullable, _ := nullRegTool(t)
+	fz := nullable.Assertion("fz0")
+	if n := len(fz.EDCs.EDCs); n != 6 {
+		t.Errorf("fz0 (nullable fk): %d EDCs, want 6:\n%s", n, fz.Denial)
+	}
+	if !strings.Contains(fz.Denial.String(), "FK_1 IS NULL") {
+		t.Errorf("fz0 lost its NULL-fk case:\n%s", fz.Denial)
+	}
 }

@@ -78,7 +78,7 @@ func (c *typeChecker) predicate(sc *tcScope, e sqlparser.Expr) error {
 				return err
 			}
 			return c.predicate(sc, x.R)
-		case x.Op.IsComparison():
+		case x.Op.IsComparison() || x.Op == sqlparser.OpIsNotDistinctFrom:
 			l, err := c.scalar(sc, x.L)
 			if err != nil {
 				return err

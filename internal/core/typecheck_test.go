@@ -58,6 +58,10 @@ func TestTypeCheckRejects(t *testing.T) {
 			"requires numeric operands"},
 		{"const-string-vs-int", "CREATE ASSERTION a CHECK (NOT EXISTS (SELECT * FROM emp WHERE 'x' > 3))",
 			"cannot compare VARCHAR with INTEGER"},
+		{"not-distinct-kind", "CREATE ASSERTION a CHECK (NOT EXISTS (SELECT * FROM emp WHERE emp.name IS NOT DISTINCT FROM 3))",
+			"cannot compare VARCHAR with INTEGER"},
+		{"not-distinct-in-assertion", "CREATE ASSERTION a CHECK (NOT EXISTS (SELECT * FROM emp WHERE emp.dept IS NOT DISTINCT FROM 3))",
+			"logic: IS NOT DISTINCT FROM"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"tintin/internal/sqltypes"
@@ -29,6 +30,8 @@ func TestIndexProbesMatchScans(t *testing.T) {
 		"SELECT a.x FROM a WHERE a.x IN (SELECT b.x FROM b WHERE b.y = a.y)",
 		"SELECT a.x FROM a UNION SELECT b.x FROM b",
 		"SELECT a1.x FROM a AS a1, a AS a2 WHERE a2.y = a1.y AND a2.x <> a1.x",
+		"SELECT a.x, b.x FROM a, b WHERE b.y IS NOT DISTINCT FROM a.y",
+		"SELECT a.x FROM a WHERE NOT EXISTS (SELECT * FROM b WHERE b.y IS NOT DISTINCT FROM a.y AND b.x = a.x)",
 	}
 	rng := rand.New(rand.NewSource(3))
 	for round := 0; round < 40; round++ {
@@ -49,6 +52,67 @@ func TestIndexProbesMatchScans(t *testing.T) {
 			}
 			if s1, s2 := canonical(r1), canonical(r2); s1 != s2 {
 				t.Fatalf("round %d: %q differs:\nprobed: %s\nscan:   %s", round, q, s1, s2)
+			}
+		}
+	}
+}
+
+// TestNullSafeProbe pins the two probe semantics over NULL keys: an
+// IS NOT DISTINCT FROM probe matches NULL to NULL, a plain = probe matches
+// no NULL at all, and both agree with their filter evaluation (probes
+// disabled) and with the scan-path recheck over a view source (bv).
+func TestNullSafeProbe(t *testing.T) {
+	db := storage.NewDB("d")
+	if _, err := New(db).ExecSQL(`
+		CREATE TABLE a (id INTEGER, x INTEGER);
+		CREATE TABLE b (id INTEGER, x INTEGER);
+		INSERT INTO a VALUES (1, 1), (2, NULL), (3, 3);
+		INSERT INTO b VALUES (10, 1), (20, NULL), (21, NULL), (40, 4);
+		CREATE VIEW bv AS SELECT * FROM b;`); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct{ q, want string }{
+		{"SELECT a.id, b.id FROM a, b WHERE b.x IS NOT DISTINCT FROM a.x", "[(1, 10) (2, 20) (2, 21)]"},
+		{"SELECT a.id, b.id FROM a, b WHERE b.x = a.x", "[(1, 10)]"},
+		{"SELECT a.id FROM a WHERE NOT EXISTS (SELECT * FROM b WHERE b.x IS NOT DISTINCT FROM a.x)", "[(3)]"},
+		{"SELECT a.id FROM a WHERE NOT EXISTS (SELECT * FROM b WHERE b.x = a.x)", "[(2) (3)]"},
+		{"SELECT a.id, b.id FROM a, b WHERE b.x IS NOT DISTINCT FROM a.x AND b.id = 20", "[(2, 20)]"},
+		{"SELECT a.id, b.id FROM a, b WHERE a.x IS NOT DISTINCT FROM b.x AND b.id = a.id + 19", "[(2, 21)]"},
+		{"SELECT b.id FROM b WHERE b.x IS NOT DISTINCT FROM NULL", "[(20) (21)]"},
+		{"SELECT b.id FROM b WHERE b.x = NULL", "[]"},
+		{"SELECT a.id, v.id FROM a, bv AS v WHERE v.x IS NOT DISTINCT FROM a.x", "[(1, 10) (2, 20) (2, 21)]"},
+		{"SELECT a.id, v.id FROM a, bv AS v WHERE v.x = a.x", "[(1, 10)]"},
+	}
+	for _, noProbes := range []bool{false, true} {
+		eng := New(db)
+		eng.DisableIndexProbes = noProbes
+		for i, c := range cases {
+			res, err := eng.QuerySQL(c.q)
+			if err != nil {
+				t.Fatalf("noProbes=%v %q: %v", noProbes, c.q, err)
+			}
+			if got := canonical(res); got != c.want {
+				t.Errorf("noProbes=%v %q = %s, want %s", noProbes, c.q, got, c.want)
+			}
+			// The last base-table source of every case is reached by index
+			// probe unless probing is disabled.
+			if noProbes || strings.Contains(c.q, "bv") {
+				continue
+			}
+			view := fmt.Sprintf("v%d", i)
+			if _, err := eng.ExecSQL("CREATE VIEW " + view + " AS " + c.q); err != nil {
+				t.Fatal(err)
+			}
+			ep, err := eng.ExplainView(view)
+			if err != nil {
+				t.Fatal(err)
+			}
+			br := ep.Branches[0]
+			if len(br.Subplans) > 0 {
+				br = br.Subplans[0].Branches[0]
+			}
+			if last := br.Sources[len(br.Sources)-1]; last.Access != "probe" {
+				t.Errorf("%q: %s access = %s, want probe", c.q, last.Table, last.Access)
 			}
 		}
 	}

@@ -75,7 +75,8 @@ type exec struct {
 	prefilters []sqlparser.Expr
 	// filters[k] holds the conjuncts first fully bound once source k is bound.
 	filters [][]sqlparser.Expr
-	// probes[k] holds equality conjuncts usable as index probes on source k.
+	// probes[k] holds equality (= or IS NOT DISTINCT FROM) conjuncts usable
+	// as index probes on source k.
 	probes [][]probe
 	// probeOffs[k] / probeVals[k] are the probe column offsets (fixed at
 	// plan time) and a value scratch buffer, so the join loop performs
@@ -252,6 +253,9 @@ func (ex *exec) runExists() (bool, error) {
 type probe struct {
 	colIdx int            // column offset in source k
 	expr   sqlparser.Expr // expression bound before source k
+	// nullSafe marks an IS NOT DISTINCT FROM probe, where a NULL value
+	// matches NULL; a plain = probe with a NULL value matches nothing.
+	nullSafe bool
 }
 
 func (e *Engine) newExec(sel *sqlparser.Select, outer *scope) (*exec, error) {
@@ -386,15 +390,17 @@ func (ex *exec) placeConjunct(c sqlparser.Expr) error {
 		ex.prefilters = append(ex.prefilters, c)
 		return nil
 	}
-	// Equality probe: src[lvl].col = expr(<lvl or outer), either direction.
+	// Equality probe: src[lvl].col = expr(<lvl or outer), either direction,
+	// under = or the NULL-safe IS NOT DISTINCT FROM.
 	if !ex.eng.DisableIndexProbes {
-		if b, ok := c.(*sqlparser.Binary); ok && b.Op == sqlparser.OpEq {
+		if b, ok := c.(*sqlparser.Binary); ok && (b.Op == sqlparser.OpEq || b.Op == sqlparser.OpIsNotDistinctFrom) {
 			for _, cand := range [2][2]sqlparser.Expr{{b.L, b.R}, {b.R, b.L}} {
 				p, ok2, err := ex.tryProbe(lvl, cand[0], cand[1])
 				if err != nil {
 					return err
 				}
 				if ok2 {
+					p.nullSafe = b.Op == sqlparser.OpIsNotDistinctFrom
 					ex.probes[lvl] = append(ex.probes[lvl], p)
 					return nil
 				}
@@ -506,7 +512,11 @@ func (lv *level) visit(r sqltypes.Row) bool {
 			lv.err = err
 			return false
 		}
-		if !sqltypes.Equal(r[p.colIdx], v) {
+		match := sqltypes.Equal(r[p.colIdx], v)
+		if p.nullSafe {
+			match = sqltypes.Identical(r[p.colIdx], v)
+		}
+		if !match {
 			return true
 		}
 	}
@@ -530,13 +540,21 @@ func (ex *exec) loop(k int) (bool, error) {
 	lv.err = nil
 
 	if len(ex.probes[k]) > 0 && src.table != nil {
+		// The probe decides NULL handling, once: the index lookup is tuple
+		// identity, so a NULL value of a plain = probe, which matches no
+		// row, skips the lookup altogether.
 		vals := ex.probeVals[k]
+		nullMiss := false
 		for i, p := range ex.probes[k] {
 			v, err := ex.evalValue(p.expr)
 			if err != nil {
 				return false, err
 			}
+			nullMiss = nullMiss || v.IsNull() && !p.nullSafe
 			vals[i] = v
+		}
+		if nullMiss {
+			return true, nil
 		}
 		idx := ex.probeIdx[k]
 		if idx == nil {
@@ -547,7 +565,7 @@ func (ex *exec) loop(k int) (bool, error) {
 			}
 			ex.probeIdx[k] = idx
 		}
-		idx.ScanEqualScratch(&ex.keyScratch, vals, lv.tryFn)
+		idx.ScanIdentical(&ex.keyScratch, vals, lv.tryFn)
 		ex.scope.tuple[k] = nil
 		if lv.err != nil {
 			return false, lv.err

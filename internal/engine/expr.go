@@ -63,7 +63,7 @@ func (ex *exec) evalValue(e sqlparser.Expr) (sqltypes.Value, error) {
 		}
 		return sqltypes.Null, fmt.Errorf("engine: cannot negate %s", v.Kind())
 	case *sqlparser.Binary:
-		if x.Op == sqlparser.OpAnd || x.Op == sqlparser.OpOr || x.Op.IsComparison() {
+		if x.Op == sqlparser.OpAnd || x.Op == sqlparser.OpOr || x.Op == sqlparser.OpIsNotDistinctFrom || x.Op.IsComparison() {
 			t, err := ex.evalBool(e)
 			if err != nil {
 				return sqltypes.Null, err
@@ -189,6 +189,17 @@ func (ex *exec) evalBool(e sqlparser.Expr) (truth, error) {
 				return truthUnknown, nil
 			}
 			return truthFalse, nil
+		case sqlparser.OpIsNotDistinctFrom:
+			// Two-valued: tuple identity, where NULL matches NULL.
+			l, err := ex.evalValue(x.L)
+			if err != nil {
+				return truthUnknown, err
+			}
+			r, err := ex.evalValue(x.R)
+			if err != nil {
+				return truthUnknown, err
+			}
+			return boolTruth(sqltypes.Identical(l, r)), nil
 		}
 		if x.Op.IsComparison() {
 			l, err := ex.evalValue(x.L)

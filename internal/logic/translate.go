@@ -15,6 +15,16 @@ type Catalog interface {
 	TableColumns(name string) (cols []string, ok bool)
 }
 
+// NullabilityCatalog is a Catalog that also knows which columns can never
+// hold NULL: declared NOT NULL or part of the primary key. With it the
+// translator drops IS [NOT] NULL tests on such columns — most notably the
+// NULL cases of the tri-valued NOT IN expansion — instead of compiling them
+// into incremental views that can never fire.
+type NullabilityCatalog interface {
+	Catalog
+	ColumnNotNull(table, column string) bool
+}
+
 // maxVariants bounds the DNF expansion of one assertion.
 const maxVariants = 64
 
@@ -131,6 +141,9 @@ func (t *translator) dnf(e sqlparser.Expr, neg bool) ([][]sqlparser.Expr, error)
 			}
 			return out, nil
 		}
+		if x.Op == sqlparser.OpIsNotDistinctFrom {
+			return nil, fmt.Errorf("logic: IS NOT DISTINCT FROM is internal to generated queries and not supported in assertions")
+		}
 		if x.Op.IsComparison() {
 			if neg {
 				nop, ok := x.Op.Negate()
@@ -160,8 +173,8 @@ func (t *translator) dnf(e sqlparser.Expr, neg bool) ([][]sqlparser.Expr, error)
 			// null-blind, so spell both disjuncts out. The NULL-probe
 			// subquery keeps the original FROM/WHERE and additionally
 			// demands p IS NULL; case (b) reuses the whole subquery under
-			// NOT EXISTS. For a NOT NULL x the second disjunct simply
-			// never fires at run time.
+			// NOT EXISTS. When x or p is a NOT NULL column, applyCond
+			// drops the impossible IS NULL disjunct or probe.
 			nullProbe, err := inNullProbe(x.Query)
 			if err != nil {
 				return nil, err
@@ -279,6 +292,12 @@ func (t *translator) applyCond(b *Body, sc *scope, cond sqlparser.Expr) ([]*Body
 		if err != nil {
 			return nil, err
 		}
+		if t.neverNull(sc, l) {
+			if x.Negated {
+				return []*Body{b}, nil // IS NOT NULL always holds
+			}
+			return nil, nil // IS NULL never holds: the variant is unsatisfiable
+		}
 		op := CmpIsNull
 		if x.Negated {
 			op = CmpIsNotNull
@@ -309,6 +328,31 @@ func (t *translator) applyCond(b *Body, sc *scope, cond sqlparser.Expr) ([]*Body
 		return t.applyExists(b, sc, x.Query, proj, outer)
 	}
 	return nil, fmt.Errorf("logic: unsupported condition %T in assertion", cond)
+}
+
+// neverNull reports whether term is a variable bound by a positive base
+// atom, of this scope's body or an enclosing one, at a column the catalog
+// declares NOT NULL. Every row such a body ranges over has a non-NULL value
+// there, so IS NULL on the variable never holds.
+func (t *translator) neverNull(sc *scope, term Term) bool {
+	nc, ok := t.cat.(NullabilityCatalog)
+	if !ok || term.IsConst {
+		return false
+	}
+	for cur := sc; cur != nil; cur = cur.parent {
+		for _, l := range cur.body.Lits {
+			if l.Neg || l.Atom.Kind != PredBase {
+				continue
+			}
+			cols, _ := t.cat.TableColumns(l.Atom.Name)
+			for i, a := range l.Atom.Args {
+				if !a.IsConst && a.Name == term.Name && i < len(cols) && nc.ColumnNotNull(l.Atom.Name, cols[i]) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // applyExists merges the subquery's translation into b. When proj is

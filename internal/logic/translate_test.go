@@ -335,3 +335,57 @@ func TestStringRendering(t *testing.T) {
 		t.Errorf("rendering: %s", s)
 	}
 }
+
+func TestIsNotDistinctFromRejected(t *testing.T) {
+	for _, cond := range []string{
+		"NOT EXISTS (SELECT * FROM orders AS o WHERE o.o_totalprice IS NOT DISTINCT FROM 1)",
+		"NOT EXISTS (SELECT * FROM orders AS o WHERE NOT EXISTS (SELECT * FROM lineitem AS l WHERE l.l_orderkey IS NOT DISTINCT FROM o.o_orderkey))",
+	} {
+		st, err := sqlparser.Parse("CREATE ASSERTION a CHECK (" + cond + ")")
+		if err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		_, err = Translate("a", st.(*sqlparser.CreateAssertion).Check, testCat)
+		if err == nil || !strings.Contains(err.Error(), "logic: IS NOT DISTINCT FROM") {
+			t.Errorf("%s: got %v, want a logic: IS NOT DISTINCT FROM rejection", cond, err)
+		}
+	}
+}
+
+// notNullCatalog marks the listed table.column pairs NOT NULL.
+type notNullCatalog struct {
+	fakeCatalog
+	notNull map[string]bool
+}
+
+func (c notNullCatalog) ColumnNotNull(table, column string) bool {
+	return c.notNull[table+"."+column]
+}
+
+// TestNotNullDropsNullCases: the tri-valued NOT IN expansion spells out an
+// x IS NULL empty-set case and a p IS NULL null probe. Over NOT NULL
+// columns both are impossible and must vanish; over nullable columns they
+// stay.
+func TestNotNullDropsNullCases(t *testing.T) {
+	st, err := sqlparser.Parse(`CREATE ASSERTION a CHECK (NOT EXISTS (SELECT * FROM orders AS o
+		WHERE o.o_totalprice NOT IN (SELECT c.c_custkey FROM customer AS c)))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := st.(*sqlparser.CreateAssertion).Check
+	nn := notNullCatalog{testCat, map[string]bool{"orders.o_totalprice": true, "customer.c_custkey": true}}
+	tr, err := Translate("a", check, nn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Denials) != 1 || len(tr.Rules) != 0 || len(tr.Denials[0].Body.Builtins) != 0 {
+		t.Errorf("NOT NULL columns: want one denial with no NULL tests and no rules, got:\n%s", tr)
+	}
+	tr, err = Translate("a", check, testCat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Denials) != 2 || len(tr.Rules) == 0 {
+		t.Errorf("nullable columns: want the empty-set denial and the null-probe rule, got:\n%s", tr)
+	}
+}

@@ -122,11 +122,8 @@ func (g *Generator) simpleBodySelect(body logic.Body, outer bindings) (*sqlparse
 	}
 	var conj []sqlparser.Expr
 
-	// Positive base/event literals: FROM items.
-	for _, l := range body.Lits {
-		if l.Neg || l.Atom.Kind == logic.PredDerived {
-			continue
-		}
+	// Positive base/event literals: FROM items, in connected order.
+	for _, l := range joinOrder(body, bind) {
 		tbl, err := tableName(l.Atom)
 		if err != nil {
 			return nil, err
@@ -191,6 +188,51 @@ func (g *Generator) simpleBodySelect(body logic.Body, outer bindings) (*sqlparse
 	return sel, nil
 }
 
+// joinOrder returns the body's positive base/event literals in FROM order:
+// each literal shares a variable with those placed before it or with the
+// outer bindings whenever some remaining literal does, so the engine can
+// probe it instead of scanning. Ties keep body order, which puts an EDC's
+// event literal first at the top level.
+func joinOrder(body logic.Body, outer bindings) []logic.Literal {
+	var rest []logic.Literal
+	for _, l := range body.Lits {
+		if !l.Neg && l.Atom.Kind != logic.PredDerived {
+			rest = append(rest, l)
+		}
+	}
+	bound := map[string]bool{}
+	for v := range outer {
+		bound[v] = true
+	}
+	connected := func(l logic.Literal) bool {
+		for _, a := range l.Atom.Args {
+			if !a.IsConst && bound[a.Name] {
+				return true
+			}
+		}
+		return false
+	}
+	out := make([]logic.Literal, 0, len(rest))
+	for len(rest) > 0 {
+		pick := 0
+		for i, l := range rest {
+			if connected(l) {
+				pick = i
+				break
+			}
+		}
+		l := rest[pick]
+		rest = append(rest[:pick], rest[pick+1:]...)
+		for _, a := range l.Atom.Args {
+			if !a.IsConst {
+				bound[a.Name] = true
+			}
+		}
+		out = append(out, l)
+	}
+	return out
+}
+
 // negatedExprs renders ¬atom as one or more NOT EXISTS conditions.
 func (g *Generator) negatedExprs(a logic.Atom, bind bindings) ([]sqlparser.Expr, error) {
 	if a.Kind != logic.PredDerived {
@@ -223,9 +265,9 @@ func (g *Generator) negatedExprs(a logic.Atom, bind bindings) ([]sqlparser.Expr,
 // Negated del atoms always come from the new-state subtraction T ∧ ¬δT over
 // the same variable tuple — a row-identity match, not a SQL join. A deleted
 // (1, NULL) row must match itself even though NULL = NULL is UNKNOWN, so
-// their variable matches are NULL-safe. Negated ins atoms (¬p ∧ ¬ιp) bind
-// user-join variables, where SQL NULL-failing equality is the required
-// semantics.
+// their variable matches use the NULL-safe IS NOT DISTINCT FROM, which the
+// engine probes like =. Negated ins atoms (¬p ∧ ¬ιp) bind user-join
+// variables, where SQL NULL-failing equality is the required semantics.
 func (g *Generator) negatedBaseSelect(a logic.Atom, bind bindings) (*sqlparser.Select, error) {
 	tbl, err := tableName(a)
 	if err != nil {
@@ -237,16 +279,9 @@ func (g *Generator) negatedBaseSelect(a logic.Atom, bind bindings) (*sqlparser.S
 	}
 	alias := g.freshAlias()
 	sel := &sqlparser.Select{Star: true, From: []sqlparser.TableRef{{Table: tbl, Alias: alias}}}
-	rowIdent := a.Kind == logic.PredDel
-	match := func(ref *sqlparser.ColumnRef, prev sqlparser.Expr) sqlparser.Expr {
-		eq := sqlparser.Expr(&sqlparser.Binary{Op: sqlparser.OpEq, L: ref, R: prev})
-		if rowIdent {
-			eq = &sqlparser.Binary{Op: sqlparser.OpOr, L: eq,
-				R: &sqlparser.Binary{Op: sqlparser.OpAnd,
-					L: &sqlparser.IsNull{E: ref},
-					R: &sqlparser.IsNull{E: prev}}}
-		}
-		return eq
+	match := sqlparser.OpEq
+	if a.Kind == logic.PredDel {
+		match = sqlparser.OpIsNotDistinctFrom
 	}
 	var conj []sqlparser.Expr
 	local := bindings{}
@@ -257,10 +292,10 @@ func (g *Generator) negatedBaseSelect(a logic.Atom, bind bindings) (*sqlparser.S
 			conj = append(conj, &sqlparser.Binary{Op: sqlparser.OpEq, L: ref, R: &sqlparser.Literal{Value: arg.Const}})
 		default:
 			if prev, bound := bind[arg.Name]; bound {
-				conj = append(conj, match(ref, prev))
+				conj = append(conj, &sqlparser.Binary{Op: match, L: ref, R: prev})
 			} else if prev, bound := local[arg.Name]; bound {
 				// Repeated local variable within the negated atom.
-				conj = append(conj, match(ref, prev))
+				conj = append(conj, &sqlparser.Binary{Op: match, L: ref, R: prev})
 			} else {
 				local[arg.Name] = ref
 			}

@@ -142,6 +142,11 @@ const (
 	OpSub
 	OpMul
 	OpDiv
+	// OpIsNotDistinctFrom is the standard NULL-safe equality
+	// a IS NOT DISTINCT FROM b: TRUE when both sides are NULL or both are
+	// equal non-NULL values, FALSE otherwise, never UNKNOWN. The SQL
+	// generator uses it for row-identity matches against del_ tables.
+	OpIsNotDistinctFrom
 )
 
 // String returns the SQL spelling of the operator.
@@ -171,11 +176,14 @@ func (op BinaryOp) String() string {
 		return "*"
 	case OpDiv:
 		return "/"
+	case OpIsNotDistinctFrom:
+		return "IS NOT DISTINCT FROM"
 	}
 	return "?"
 }
 
-// IsComparison reports whether op is a comparison operator.
+// IsComparison reports whether op is a three-valued comparison operator
+// (=, <>, <, <=, >, >=). The two-valued OpIsNotDistinctFrom is not one.
 func (op BinaryOp) IsComparison() bool { return op >= OpEq && op <= OpGe }
 
 // Negate returns the complementary comparison (=/<>, </>=, ...) and true,

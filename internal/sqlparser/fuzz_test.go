@@ -45,6 +45,7 @@ func FuzzParseRoundTrip(f *testing.F) {
 		"SELECT 9223372036854775808 FROM t",
 		"SELECT a FROM t WHERE a = 1e999",
 		"SELECT '''', '--', 1.5e-3 FROM t",
+		"SELECT * FROM t WHERE NOT EXISTS (SELECT * FROM del_t AS d WHERE d.a IS NOT DISTINCT FROM t.a)",
 	}
 	for _, s := range seeds {
 		f.Add(s)

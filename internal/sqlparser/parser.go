@@ -621,9 +621,22 @@ func (p *Parser) parseComparison() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	// IS [NOT] NULL
+	// IS [NOT] NULL / IS NOT DISTINCT FROM
 	if p.acceptKeyword("IS") {
 		neg := p.acceptKeyword("NOT")
+		if p.acceptKeyword("DISTINCT") {
+			if !neg {
+				return nil, p.errorf("IS DISTINCT FROM is not supported (only IS NOT DISTINCT FROM)")
+			}
+			if err := p.expectKeyword("FROM"); err != nil {
+				return nil, err
+			}
+			r, err := p.parseAdditive()
+			if err != nil {
+				return nil, err
+			}
+			return &Binary{Op: OpIsNotDistinctFrom, L: l, R: r}, nil
+		}
 		if err := p.expectKeyword("NULL"); err != nil {
 			return nil, err
 		}

@@ -152,6 +152,35 @@ func TestIsNull(t *testing.T) {
 	}
 }
 
+func TestIsNotDistinctFrom(t *testing.T) {
+	sel := parseSelect(t, "SELECT * FROM t WHERE a IS NOT DISTINCT FROM b + 1 AND c IS NULL")
+	and := sel.Where.(*Binary)
+	nd, ok := and.L.(*Binary)
+	if !ok || nd.Op != OpIsNotDistinctFrom {
+		t.Fatalf("left conjunct = %#v, want IS NOT DISTINCT FROM", and.L)
+	}
+	if r, ok := nd.R.(*Binary); !ok || r.Op != OpAdd {
+		t.Errorf("right operand = %#v, want a + expression", nd.R)
+	}
+	if _, ok := and.R.(*IsNull); !ok {
+		t.Errorf("right conjunct = %#v, want IS NULL", and.R)
+	}
+	if got := FormatExpr(nd); got != "a IS NOT DISTINCT FROM b + 1" {
+		t.Errorf("FormatExpr = %q", got)
+	}
+	if nd.Op.IsComparison() {
+		t.Error("IS NOT DISTINCT FROM is two-valued, not a three-valued comparison")
+	}
+	for _, bad := range []string{
+		"SELECT * FROM t WHERE a IS DISTINCT FROM b",
+		"SELECT * FROM t WHERE a IS NOT DISTINCT b",
+	} {
+		if _, err := ParseSelect(bad); err == nil {
+			t.Errorf("no error for %q", bad)
+		}
+	}
+}
+
 func TestBetweenDesugars(t *testing.T) {
 	sel := parseSelect(t, "SELECT * FROM t WHERE a BETWEEN 1 AND 5")
 	and, ok := sel.Where.(*Binary)
@@ -305,6 +334,7 @@ func TestFormatRoundTrip(t *testing.T) {
 		"SELECT a FROM t UNION ALL SELECT b FROM u",
 		"SELECT a FROM t WHERE a IS NOT NULL",
 		"SELECT -a + 2 * b FROM t WHERE NOT (a = 1 AND b = 2)",
+		"SELECT * FROM del_t AS t1 WHERE t1.a IS NOT DISTINCT FROM o.a AND NOT t1.b IS NOT DISTINCT FROM 2",
 	}
 	for _, q := range queries {
 		sel1 := parseSelect(t, q)

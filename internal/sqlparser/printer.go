@@ -170,7 +170,7 @@ func prec(e Expr) int {
 			return 1
 		case OpAnd:
 			return 2
-		case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
+		case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpIsNotDistinctFrom:
 			return 4
 		case OpAdd, OpSub:
 			return 5

@@ -66,9 +66,11 @@ func NewSchema(name string, cols []Column, pk []string, fks []ForeignKey) (*Sche
 	for i, k := range s.PrimaryKey {
 		k = strings.ToLower(k)
 		s.PrimaryKey[i] = k
-		if _, ok := s.colIndex[k]; !ok {
+		ci, ok := s.colIndex[k]
+		if !ok {
 			return nil, fmt.Errorf("storage: table %s: primary key column %s not found", name, k)
 		}
+		s.Columns[ci].NotNull = true // PRIMARY KEY implies NOT NULL
 	}
 	for fi := range s.ForeignKeys {
 		fk := &s.ForeignKeys[fi]

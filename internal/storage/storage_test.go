@@ -97,6 +97,29 @@ func TestInsertValidation(t *testing.T) {
 	}
 }
 
+// TestPrimaryKeyImpliesNotNull: a table-level PRIMARY KEY column without
+// its own NOT NULL still rejects NULL, so the assertion compiler may treat
+// key columns as never NULL.
+func TestPrimaryKeyImpliesNotNull(t *testing.T) {
+	s, err := NewSchema("k", []Column{
+		{Name: "a", Type: sqltypes.KindInt},
+		{Name: "b", Type: sqltypes.KindInt},
+	}, []string{"a"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.Columns[0].NotNull || s.Columns[1].NotNull {
+		t.Fatalf("NotNull = %v, %v; want key column only", s.Columns[0].NotNull, s.Columns[1].NotNull)
+	}
+	tb := NewTable(s)
+	if err := tb.Insert(sqltypes.Row{sqltypes.Null, sqltypes.NewInt(1)}); err == nil {
+		t.Error("NULL primary key accepted")
+	}
+	if err := tb.Insert(sqltypes.Row{sqltypes.NewInt(1), sqltypes.Null}); err != nil {
+		t.Errorf("NULL in a non-key column rejected: %v", err)
+	}
+}
+
 func TestDeleteAndReuse(t *testing.T) {
 	tb := NewTable(testSchema(t))
 	for i := 0; i < 10; i++ {

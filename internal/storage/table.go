@@ -14,8 +14,8 @@ import (
 // never write, which is what makes concurrent reading sound.
 //
 // Concurrency: a Table holds no internal scratch state, so any number of
-// goroutines may read concurrently (Scan, Rows, Len, Index.ScanEqual with
-// per-caller scratch) as long as nothing mutates the table — an immutable
+// goroutines may read concurrently (Scan, Rows, Len, Index.ScanIdentical
+// with per-caller scratch) as long as nothing mutates the table — an immutable
 // snapshot view, which is exactly the state safeCommit's parallel check
 // phase runs in. Mutations (Insert, Delete*, Truncate, index construction)
 // require exclusive access.
@@ -37,7 +37,7 @@ type Table struct {
 	idIx *index
 	// writeScratch is key-encoding scratch for the write path only
 	// (Insert/Delete/ContainsRow), which requires exclusive access anyway.
-	// The concurrent read path (Index.ScanEqualScratch) brings caller-owned
+	// The concurrent read path (Index.ScanIdentical) brings caller-owned
 	// scratch and never touches it.
 	writeScratch []byte
 }
@@ -243,18 +243,16 @@ func (t *Table) Rows() []sqltypes.Row {
 	return out
 }
 
-// lookup returns the index's bucket for vals, or nil when any value is NULL
-// (NULL never equals anything). The probe key is encoded into *scratch,
-// which is grown and written back so a caller reusing one scratch across
-// probes never allocates. lookup itself is read-only: safe for concurrent
-// use as long as each caller brings its own scratch and the table is not
-// being mutated.
+// lookup returns the index's bucket for vals: the one key lookup every
+// probe goes through. Keys are EncodeKey bytes, where NULL encodes like any
+// other value, so a NULL probe value finds the rows holding NULL — tuple
+// identity, agreeing with sqltypes.Identical. SQL equality (NULL matches
+// nothing) is the caller's rule to apply before probing. The probe key is
+// encoded into *scratch, which is grown and written back so a caller
+// reusing one scratch across probes never allocates. lookup itself is
+// read-only: safe for concurrent use as long as each caller brings its own
+// scratch and the table is not being mutated.
 func (ix *index) lookup(scratch *[]byte, vals []sqltypes.Value) []int {
-	for _, v := range vals {
-		if v.IsNull() {
-			return nil
-		}
-	}
 	kb := (*scratch)[:0]
 	for _, v := range vals {
 		kb = v.EncodeKey(kb)
@@ -263,10 +261,14 @@ func (ix *index) lookup(scratch *[]byte, vals []sqltypes.Value) []int {
 	return ix.slots[string(kb)]
 }
 
-// probeSlots resolves (building if needed) the index on offs and probes it.
-// Building is a mutation; this path is for cold callers with exclusive
-// access (the hot path holds an Index handle and brings its own scratch).
+// probeSlots resolves (building if needed) the index on offs and probes it
+// under SQL equality: a NULL value matches nothing. Building is a mutation;
+// this path is for cold callers with exclusive access (the hot path holds
+// an Index handle and brings its own scratch).
 func (t *Table) probeSlots(offs []int, vals []sqltypes.Value) []int {
+	if anyNull(vals) {
+		return nil
+	}
 	var scratch []byte
 	return t.ensureIndexOffsets(offs).lookup(&scratch, vals)
 }
@@ -292,7 +294,7 @@ func (t *Table) LookupEqual(offs []int, vals []sqltypes.Value) []sqltypes.Row {
 //
 // The handle holds no scratch state, so one Index may be shared by any
 // number of concurrent readers (each bringing its own scratch buffer via
-// ScanEqualScratch) while the table is quiescent.
+// ScanIdentical) while the table is quiescent.
 type Index struct {
 	t  *Table
 	ix *index
@@ -309,19 +311,25 @@ func (t *Table) IndexOn(offs []int) (*Index, error) {
 	return &Index{t: t, ix: t.ensureIndexOffsets(offs)}, nil
 }
 
-// ScanEqual probes the index for vals and yields each matching live row
-// without materializing a result slice; returning false stops the scan.
-// A NULL value matches nothing. yield must not mutate the table.
+// ScanEqual probes the index for vals under SQL equality and yields each
+// matching live row without materializing a result slice; returning false
+// stops the scan. A NULL value matches nothing. yield must not mutate the
+// table.
 func (x *Index) ScanEqual(vals []sqltypes.Value, yield func(sqltypes.Row) bool) {
+	if anyNull(vals) {
+		return
+	}
 	var scratch []byte
-	x.ScanEqualScratch(&scratch, vals, yield)
+	x.ScanIdentical(&scratch, vals, yield)
 }
 
-// ScanEqualScratch is ScanEqual with a caller-owned key-encoding scratch
-// buffer, so a hot loop reusing one scratch probes without allocating. It is
-// strictly read-only: concurrent callers with private scratch buffers are
-// safe over a quiescent table.
-func (x *Index) ScanEqualScratch(scratch *[]byte, vals []sqltypes.Value, yield func(sqltypes.Row) bool) {
+// ScanIdentical yields each live row whose indexed columns are identical to
+// vals (sqltypes.Identical: NULL matches NULL); returning false stops the
+// scan. It is the query engine's probe, which applies SQL equality's NULL
+// rule itself. The caller-owned key-encoding scratch lets a hot loop probe
+// without allocating. It is strictly read-only: concurrent callers with
+// private scratch buffers are safe over a quiescent table.
+func (x *Index) ScanIdentical(scratch *[]byte, vals []sqltypes.Value, yield func(sqltypes.Row) bool) {
 	for _, s := range x.ix.lookup(scratch, vals) {
 		if !yield(x.t.rows[s]) {
 			return
@@ -334,16 +342,13 @@ func (t *Table) ContainsEqual(offs []int, vals []sqltypes.Value) bool {
 	return len(t.probeSlots(offs, vals)) > 0
 }
 
-// identityKey encodes the whole row into the write-path scratch for the
-// tuple-identity index (NULL encodes like any other value, so NULL matches
-// NULL, agreeing with IdenticalRows).
-func (t *Table) identityKey(r sqltypes.Row) []byte {
-	kb := t.writeScratch[:0]
-	for _, v := range r {
-		kb = v.EncodeKey(kb)
+func anyNull(vals []sqltypes.Value) bool {
+	for _, v := range vals {
+		if v.IsNull() {
+			return true
+		}
 	}
-	t.writeScratch = kb
-	return kb
+	return false
 }
 
 // identityIndex resolves (building once) the all-columns index.
@@ -360,8 +365,7 @@ func (t *Table) ContainsRow(r sqltypes.Row) bool {
 	if len(r) != len(t.schema.Columns) {
 		return false
 	}
-	ix := t.identityIndex()
-	for _, s := range ix.slots[string(t.identityKey(r))] {
+	for _, s := range t.identityIndex().lookup(&t.writeScratch, r) {
 		if sqltypes.IdenticalRows(t.rows[s], r) {
 			return true
 		}
@@ -390,8 +394,7 @@ func (t *Table) DeleteRow(r sqltypes.Row) bool {
 	if len(r) != len(t.schema.Columns) {
 		return false
 	}
-	ix := t.identityIndex()
-	for _, s := range ix.slots[string(t.identityKey(r))] {
+	for _, s := range t.identityIndex().lookup(&t.writeScratch, r) {
 		if sqltypes.IdenticalRows(t.rows[s], r) {
 			t.deleteSlot(s)
 			return true
