@@ -31,14 +31,14 @@ test:
 
 ## test-race: the experiment harness (and everything else) under the race
 ## detector; slower, catches engine/state sharing mistakes. Includes the
-## parallel commit-check scheduler's concurrent-safeCommit tests, the
-## intra-view partitioned-check tests (partition parity + concurrent
-## partitioned commits), the observability tests (registry/tracer
-## primitives plus concurrent group commits against Stats()/trace-ring
-## readers and against the ops server's /metrics + /debug/traces
-## scrapers), the WAL/fault-injection tests (crash-recovery matrix,
-## torn-tail handling, fsync policies), the differential-oracle corpus
-## replays, and the parser round-trip seeds.
+## parallel commit-check scheduler's concurrent-safeCommit tests (single-
+## and multi-op deltas through the group committer, one view per worker
+## task), the observability tests (registry/tracer primitives plus
+## concurrent group commits against Stats()/trace-ring readers and against
+## the ops server's /metrics + /debug/traces scrapers), the WAL/fault-
+## injection tests (crash-recovery matrix, torn-tail handling, fsync
+## policies), the differential-oracle corpus replays, and the parser
+## round-trip seeds.
 test-race:
 	$(GO) test -race ./internal/harness/ ./internal/engine/ ./internal/core/ ./internal/storage/ ./internal/sched/ ./internal/obs/ ./internal/obs/opsserver/ ./internal/wal/ ./internal/difftest/ ./internal/sqlparser/
 
@@ -64,12 +64,11 @@ bench:
 bench-safecommit:
 	$(GO) test -run '^$$' -bench 'BenchmarkSafeCommit$$' -benchmem .
 
-## bench-parallel: the parallel commit-check scaling curves (1/2/4/8
-## workers over the multi-assertion workload) — both the unsplit view-task
-## curve and the split-enabled curve (intra-view partitioning in auto
-## mode) — tracked in BENCH_safecommit.json.
+## bench-parallel: the parallel commit-check scaling curve (1/2/4/8
+## workers over the multi-assertion workload, one view per task) —
+## tracked in BENCH_safecommit.json.
 bench-parallel:
-	$(GO) test -run '^$$' -bench 'BenchmarkSafeCommitParallel' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkSafeCommitParallel$$' -benchmem .
 
 ## bench-obs: the observability overhead guard — the hot-path safeCommit
 ## benchmark uninstrumented vs with the metrics registry wired; must stay

@@ -44,17 +44,6 @@ type Options struct {
 	// takes the serial path on the calling goroutine; any worker count
 	// produces identical CommitResults (TestParallelCheckParity).
 	Workers int
-	// SplitThreshold guides intra-view parallelism when Workers > 1: a view
-	// whose estimated check duration (an EWMA of observed durations, see
-	// CommitResult.ViewDurations) exceeds the threshold has its driving
-	// event scan split into row-range partitions, each checked as its own
-	// scheduler task, so one hot view saturates every worker instead of
-	// pinning one. Zero (the default) is auto mode — the threshold is the
-	// fair per-worker share of the check's total estimated work; negative
-	// disables splitting; positive is a fixed cut size. Results are merged
-	// in partition order and are bit-identical to an unsplit check
-	// (TestPartitionedCheckParity).
-	SplitThreshold time.Duration
 	// FailFast stops every view check at the first violating row: a
 	// rejected commit reports one witness tuple per violated view instead
 	// of the full violation set. For callers that only need accept/reject
@@ -79,10 +68,6 @@ type Options struct {
 	SlowTrace time.Duration
 	// SlowTraceWriter receives promoted slow traces (default os.Stderr).
 	SlowTraceWriter io.Writer
-	// ProfileLabels applies pprof labels (view, partition) to scheduler
-	// subtask execution so CPU profiles attribute worker samples. Off by
-	// default: label application allocates.
-	ProfileLabels bool
 	// WALDir roots the durability subsystem: a write-ahead log of applied
 	// event batches plus snapshot checkpoints under this directory. Empty
 	// (the default) keeps the tool purely in-memory. Attach with
@@ -162,9 +147,8 @@ type CommitResult struct {
 	// separately (it is per-transaction, not per-assertion).
 	NormalizeDuration time.Duration
 	// ViewDurations reports the observed evaluation time of every view this
-	// check evaluated, in check order (for a split check, the summed
-	// partition times — the view's work, not its wall time). It feeds the
-	// splitter's cost model and tintinbench's -perview skew table.
+	// check evaluated, in check order. The same durations feed the per-view
+	// tintin_view_check_ns histograms.
 	ViewDurations []ViewDuration
 }
 
@@ -184,8 +168,6 @@ type Tool struct {
 
 	// pool is the parallel commit-check scheduler (nil when Workers <= 1).
 	pool *sched.Pool
-	// cost estimates per-view check durations (EWMA) for the task splitter.
-	cost costModel
 	// checkRes is the serial path's reusable result buffer: the common
 	// no-violation check re-executes plans into it without allocating
 	// result storage. Violation rows are copied out before reuse.
@@ -213,7 +195,6 @@ func New(db *storage.DB, opts Options) *Tool {
 	}
 	if opts.Workers > 1 {
 		t.pool = sched.NewPool(opts.Workers)
-		t.pool.SetProfileLabels(opts.ProfileLabels)
 	}
 	if opts.Metrics != nil {
 		t.initMetrics(opts.Metrics)
@@ -482,16 +463,14 @@ func (t *Tool) check(parent *obs.Span) (*CommitResult, error) {
 	}
 
 	res.ViewDurations = make([]ViewDuration, 0, len(checks))
-	// Route to the pool when there is anything to overlap: several views,
-	// or a single view the cost model wants to split — the one-hot-view
-	// schema is exactly the case intra-view parallelism exists for, so a
-	// length-1 check list must not force the serial path.
+	// Route to the pool only when there are several views to overlap: a
+	// single view gains nothing from the pool's freeze/fan-out machinery.
 	cs := parent.Child("check")
 	cs.SetAttrInt("views_checked", int64(res.ViewsChecked))
 	cs.SetAttrInt("views_skipped", int64(res.ViewsSkipped))
 	var err error
-	if parts := t.splitDecision(checks); parts != nil {
-		err = t.checkParallel(checks, parts, res, cs)
+	if t.pool != nil && len(checks) > 1 {
+		err = t.checkParallel(checks, res, cs)
 	} else {
 		err = t.checkSerial(checks, res, cs)
 	}
@@ -519,21 +498,6 @@ type viewCheck struct {
 	view      string
 }
 
-// splitDecision returns the per-check partition counts when the check list
-// should fan out across the pool, nil when the serial path is right: no
-// pool, an empty list, or a single view the splitter would leave whole
-// (where the pool's freeze/merge machinery buys nothing).
-func (t *Tool) splitDecision(checks []viewCheck) []int {
-	if t.pool == nil || len(checks) == 0 {
-		return nil
-	}
-	parts := t.cost.splitParts(checks, t.pool.Workers(), t.opts.SplitThreshold)
-	if len(checks) == 1 && parts[0] <= 1 {
-		return nil
-	}
-	return parts
-}
-
 // rowLimit is the per-view row cap the options imply (0 = no cap).
 func (t *Tool) rowLimit() int {
 	if t.opts.FailFast {
@@ -543,10 +507,8 @@ func (t *Tool) rowLimit() int {
 }
 
 // checkSerial evaluates the check list in order on the calling goroutine,
-// reusing the tool's result buffer. Every view's duration is measured and
-// fed to the cost model even on this path, so a tool later reconfigured for
-// (or benchmarked against) the parallel splitter starts with warm
-// estimates, and -perview skew tables work without workers.
+// reusing the tool's result buffer. Every view's duration is measured on
+// this path too, so -perview skew tables work without workers.
 func (t *Tool) checkSerial(checks []viewCheck, res *CommitResult, parent *obs.Span) error {
 	limit := t.rowLimit()
 	for _, c := range checks {
@@ -584,16 +546,10 @@ func (t *Tool) checkSerial(checks []viewCheck, res *CommitResult, parent *obs.Sp
 // checkParallel fans the check list out across the scheduler's worker
 // pool. Plans are resolved (and any missing probe index built) serially
 // before the fan-out; the database is frozen for its duration so every
-// worker probes an immutable snapshot; and outcomes are merged back in
+// worker probes an immutable snapshot; and outcomes come back in
 // check-list order, so violation ordering is identical to the serial path.
-//
-// The cost model then decides which views to split: a view whose estimated
-// duration exceeds the split threshold (see Options.SplitThreshold) and
-// whose plan is driven by an event-table scan becomes several partition
-// subtasks instead of one task, so the slowest view no longer bounds the
-// fan-out's makespan. The pool merges partition outputs in range order, so
-// splitting never changes a CommitResult.
-func (t *Tool) checkParallel(checks []viewCheck, parts []int, res *CommitResult, parent *obs.Span) error {
+// Each view is one scheduler task.
+func (t *Tool) checkParallel(checks []viewCheck, res *CommitResult, parent *obs.Span) error {
 	limit := t.rowLimit()
 	tasks := make([]sched.Task, len(checks))
 	for i, c := range checks {
@@ -612,9 +568,6 @@ func (t *Tool) checkParallel(checks []viewCheck, parts []int, res *CommitResult,
 			return fmt.Errorf("tintin: evaluating %s: %w", c.view, err)
 		}
 		tasks[i] = sched.Task{Plan: p, Limit: limit}
-		if parts[i] > 1 && splittable(p) {
-			tasks[i].Parts = parts[i]
-		}
 	}
 
 	fs := parent.Child("freeze")

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -41,14 +42,44 @@ func runBankWorkload(t testing.TB, tool *core.Tool) []*core.CommitResult {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.Duration = 0
-		res.NormalizeDuration = 0
-		for i := range res.ViewDurations {
-			res.ViewDurations[i].Duration = 0
-		}
+		zeroDurations(res)
 		out = append(out, res)
 	}
 	return out
+}
+
+// zeroDurations strips the legitimately nondeterministic timing fields,
+// keeping the view names and their order comparable.
+func zeroDurations(res *core.CommitResult) {
+	res.Duration = 0
+	res.NormalizeDuration = 0
+	for i := range res.ViewDurations {
+		res.ViewDurations[i].Duration = 0
+	}
+}
+
+// stageTransfers stages n transfers through the capture layer, every 7th
+// one violating positiveAmount (amount 0) and every 11th one referencing
+// the closed account 300, so violating rows sit at ragged positions of the
+// ins_transfer scan.
+func stageTransfers(t testing.TB, tool *core.Tool, n int) {
+	t.Helper()
+	iv := sqltypes.NewInt
+	fv := sqltypes.NewFloat
+	for i := 0; i < n; i++ {
+		amount := 1.5
+		if i%7 == 0 {
+			amount = 0
+		}
+		to := int64(200)
+		if i%11 == 0 {
+			to = 300
+		}
+		row := sqltypes.Row{iv(int64(5000 + i)), iv(100), iv(to), fv(amount)}
+		if err := tool.DB().Insert("transfer", row); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestParallelCheckParity is the scheduler's core contract: the parallel
@@ -66,6 +97,72 @@ func TestParallelCheckParity(t *testing.T) {
 			if !reflect.DeepEqual(serial[i], parallel[i]) {
 				t.Errorf("workers=%d update %d: parallel result diverges\nserial:   %+v\nparallel: %+v",
 					workers, i, serial[i], parallel[i])
+			}
+		}
+	}
+}
+
+// TestPartitionedCheckParity checks one large staged delta at k workers:
+// Check() results — violations, their row order, the evaluated-view list
+// and the skip accounting — are identical to the serial path over repeated
+// rounds, with violating rows at ragged positions of the event scans, and
+// the checks compile no plans. (The name dates from when views were also
+// cut into row partitions; each view is now one task.)
+func TestPartitionedCheckParity(t *testing.T) {
+	const rounds = 3
+	serialTool := coretest.NewBankTool(t, 1)
+	var serial []*core.CommitResult
+	stageTransfers(t, serialTool, 100)
+	for r := 0; r < rounds; r++ {
+		res, err := serialTool.Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		zeroDurations(res)
+		serial = append(serial, res)
+	}
+	if len(serial[rounds-1].Violations) == 0 {
+		t.Fatal("fixture staged no violations; parity test would be vacuous")
+	}
+
+	for _, k := range []int{2, 3, 8} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			tool := coretest.NewBankTool(t, k)
+			stageTransfers(t, tool, 100)
+			warm := tool.Engine().PlanCacheStats()
+			for r := 0; r < rounds; r++ {
+				res, err := tool.Check()
+				if err != nil {
+					t.Fatal(err)
+				}
+				zeroDurations(res)
+				if !reflect.DeepEqual(res, serial[r]) {
+					t.Fatalf("round %d: parallel result diverges\nserial:   %+v\nparallel: %+v", r, serial[r], res)
+				}
+			}
+			after := tool.Engine().PlanCacheStats()
+			if after.Misses != warm.Misses {
+				t.Fatalf("parallel checking compiled plans: misses %d -> %d", warm.Misses, after.Misses)
+			}
+			if after.Fallbacks != warm.Fallbacks {
+				t.Fatalf("parallel checking re-planned non-cacheable views: %d -> %d", warm.Fallbacks, after.Fallbacks)
+			}
+		})
+	}
+}
+
+// TestPartitionedWorkloadParity runs the full mixed bank workload (commits,
+// rejections, multi-statement updates) at 2, 3 and 8 workers and demands
+// results identical to the serial path — the safeCommit-level extension of
+// TestPartitionedCheckParity.
+func TestPartitionedWorkloadParity(t *testing.T) {
+	serial := runBankWorkload(t, coretest.NewBankTool(t, 1))
+	for _, k := range []int{2, 3, 8} {
+		parallel := runBankWorkload(t, coretest.NewBankTool(t, k))
+		for i := range serial {
+			if !reflect.DeepEqual(serial[i], parallel[i]) {
+				t.Errorf("k=%d update %d: parallel result diverges\nserial:   %+v\nparallel: %+v",
+					k, i, serial[i], parallel[i])
 			}
 		}
 	}
@@ -151,5 +248,88 @@ func TestParallelCheckFreezesDB(t *testing.T) {
 	}
 	if db.Frozen() {
 		t.Fatal("database left frozen after safeCommit")
+	}
+}
+
+// TestFailFast: with FailFast every violated view reports exactly one
+// witness row — the first the serial check would find — on both the serial
+// and the parallel path, and clean updates still commit.
+func TestFailFast(t *testing.T) {
+	ffOpts := core.DefaultOptions()
+	ffOpts.FailFast = true
+
+	full := coretest.NewBankTool(t, 1)
+	stageTransfers(t, full, 100)
+	want, err := full.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Violations) == 0 {
+		t.Fatal("fixture staged no violations")
+	}
+
+	check := func(name string, tool *core.Tool) {
+		t.Helper()
+		stageTransfers(t, tool, 100)
+		got, err := tool.Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Violations) != len(want.Violations) {
+			t.Fatalf("%s: %d violated views, full check found %d", name, len(got.Violations), len(want.Violations))
+		}
+		for i, v := range got.Violations {
+			if v.View != want.Violations[i].View {
+				t.Fatalf("%s: violation %d is view %s, full check has %s", name, i, v.View, want.Violations[i].View)
+			}
+			if len(v.Rows) != 1 {
+				t.Fatalf("%s: view %s returned %d rows under FailFast", name, v.View, len(v.Rows))
+			}
+			if !reflect.DeepEqual(v.Rows[0], want.Violations[i].Rows[0]) {
+				t.Fatalf("%s: view %s witness %v, serial first row %v", name, v.View, v.Rows[0], want.Violations[i].Rows[0])
+			}
+		}
+	}
+
+	check("serial", coretest.NewBankToolOpts(t, ffOpts))
+
+	ffParallel := ffOpts
+	ffParallel.Workers = 4
+	check("parallel", coretest.NewBankToolOpts(t, ffParallel))
+
+	// A clean update still commits under FailFast.
+	ff := coretest.NewBankToolOpts(t, ffOpts)
+	if err := ff.DB().Insert("transfer", sqltypes.Row{
+		sqltypes.NewInt(9000), sqltypes.NewInt(100), sqltypes.NewInt(200), sqltypes.NewFloat(3.0)}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := ff.SafeCommit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Committed {
+		t.Fatalf("clean transfer rejected under FailFast: %v", res.Violations)
+	}
+}
+
+// TestViewDurationsRecorded: both check paths record one duration per
+// evaluated view, in check order, with non-negative values.
+func TestViewDurationsRecorded(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		tool := coretest.NewBankTool(t, workers)
+		stageTransfers(t, tool, 10)
+		res, err := tool.Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.ViewDurations) != res.ViewsChecked {
+			t.Fatalf("workers=%d: %d durations for %d checked views", workers, len(res.ViewDurations), res.ViewsChecked)
+		}
+		for _, vd := range res.ViewDurations {
+			if vd.View == "" || vd.Duration < 0 {
+				t.Fatalf("workers=%d: bad view duration %+v", workers, vd)
+			}
+		}
+		tool.DB().TruncateEvents()
 	}
 }

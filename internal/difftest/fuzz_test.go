@@ -7,9 +7,9 @@ import (
 // FuzzDifferential is the native-fuzzing entry point for the differential
 // oracle: the input bytes deterministically drive schema, assertions and
 // update stream, and the property is full agreement between the baseline
-// checker and every incremental execution mode (serial, parallel, split,
+// checker and every incremental execution mode (serial, parallel,
 // fail-fast, group commit), including fail-fast witness determinism and
-// identical committed state across all five databases.
+// identical committed state across all four databases.
 //
 // Run with:
 //

@@ -114,14 +114,6 @@ type exec struct {
 	// shared table without contending on scratch state.
 	keyScratch []byte
 
-	// scanRange / hasRange restrict the level-0 driving scan to one slot
-	// range of its table: the partitioned commit check's unit of work. Only
-	// meaningful on plans whose DrivingScan reports partitionable; set
-	// per-execution by QueryPartitionInto (or permanently by
-	// ClonePartition), never on a shared prototype plan.
-	scanRange storage.RowRange
-	hasRange  bool
-
 	// skipProject suppresses leaf projection (aggregate mode accumulates
 	// from the bound scope instead).
 	skipProject bool
@@ -576,11 +568,7 @@ func (ex *exec) loop(k int) (bool, error) {
 	// Scan path: base-table scan or materialized rows, applying any probe
 	// conjuncts as filters.
 	if src.table != nil {
-		if k == 0 && ex.hasRange {
-			src.table.ScanRange(ex.scanRange, lv.visitFn)
-		} else {
-			src.table.Scan(lv.visitFn)
-		}
+		src.table.Scan(lv.visitFn)
 	} else {
 		for _, r := range src.rows {
 			if !lv.visitFn(r) {

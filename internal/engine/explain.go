@@ -21,10 +21,6 @@ type ExplainPlan struct {
 	// Cached reports whether a valid compiled plan is resident in the
 	// engine's plan cache right now.
 	Cached bool `json:"cached"`
-	// Partitionable mirrors PreparedQuery.DrivingScan: a single-branch scan
-	// plan whose output can be split by driving-row ranges.
-	Partitionable bool   `json:"partitionable"`
-	DrivingScan   string `json:"driving_scan,omitempty"`
 	// Branches holds one entry per UNION branch, empty for non-cacheable
 	// plans (there is no stable compiled form to describe).
 	Branches []ExplainBranch `json:"branches,omitempty"`
@@ -90,10 +86,6 @@ func (e *Engine) ExplainView(name string) (*ExplainPlan, error) {
 		SQL:       sqlparser.FormatSelect(sel),
 		Cacheable: p.Cacheable(),
 		Cached:    cached,
-	}
-	if tbl, ok := p.DrivingScan(); ok {
-		out.Partitionable = true
-		out.DrivingScan = tbl.Name()
 	}
 	for i, ex := range p.branches {
 		out.Branches = append(out.Branches, explainExec(ex, p.dedupe[i], p.agg[i]))

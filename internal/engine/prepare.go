@@ -7,7 +7,6 @@ import (
 
 	"tintin/internal/sqlparser"
 	"tintin/internal/sqltypes"
-	"tintin/internal/storage"
 )
 
 // PreparedQuery is a view whose evaluation plan — scope resolution, conjunct
@@ -334,51 +333,6 @@ func (p *PreparedQuery) QueryLimitInto(limit int, res *Result) error {
 		}
 	}
 	return nil
-}
-
-// DrivingScan returns the table driving the plan's outer join loop when the
-// plan is partitionable: cacheable, a single SELECT branch with neither
-// DISTINCT nor aggregate projection, whose level-0 FROM source is a base
-// table read by full scan (no level-0 index probes). For such a plan the
-// outer loop visits driving-table rows in slot order and every output row
-// is owned by exactly one driving row, so restricting the scan to a row
-// range yields a disjoint, contiguous slice of the plan's output:
-// concatenating the slices in range order reproduces the unrestricted
-// output bit for bit. Multi-branch, deduplicating and aggregate plans
-// cross-couple rows from different driving partitions and are not
-// splittable this way.
-func (p *PreparedQuery) DrivingScan() (*storage.Table, bool) {
-	if len(p.branches) != 1 || p.dedupe[0] || p.agg[0] {
-		return nil, false
-	}
-	ex := p.branches[0]
-	if len(ex.scope.srcs) == 0 {
-		return nil, false
-	}
-	src := ex.scope.srcs[0]
-	if src.table == nil || len(ex.probes[0]) > 0 {
-		return nil, false
-	}
-	return src.table, true
-}
-
-// QueryPartitionInto executes the plan with the driving scan restricted to
-// the slot range r, leaving every probe, filter and subplan untouched — one
-// partition subtask of a split commit check. The restriction lasts for this
-// execution only (panic-safe), so a worker's cached clone alternates freely
-// between partitioned and whole executions without re-cloning. The receiver
-// must be private to the caller (a worker clone, never the shared prototype)
-// and partitionable per DrivingScan; calling this on a non-partitionable
-// plan is a programming error and panics.
-func (p *PreparedQuery) QueryPartitionInto(r storage.RowRange, limit int, res *Result) error {
-	if _, ok := p.DrivingScan(); !ok {
-		panic(fmt.Sprintf("engine: QueryPartitionInto on non-partitionable plan %s", p.name))
-	}
-	ex := p.branches[0]
-	savedRange, savedHas := ex.scanRange, ex.hasRange
-	ex.scanRange, ex.hasRange = r, true
-	defer func() { ex.scanRange, ex.hasRange = savedRange, savedHas }()
-	return p.QueryLimitInto(limit, res)
 }
 
 // NonEmpty reports whether the prepared query yields any row, stopping at

@@ -331,3 +331,35 @@ func TestPlanCacheStatsConcurrentReads(t *testing.T) {
 		t.Fatalf("stats after concurrent reads: %+v", st)
 	}
 }
+
+// TestQueryLimitInto: the row cap stops execution early and returns exactly
+// the first limit rows of the uncapped result.
+func TestQueryLimitInto(t *testing.T) {
+	db, eng := prepDB(t)
+	createView(t, db, "lim",
+		`SELECT l.l_quantity FROM lineitem AS l, orders AS o WHERE o.o_orderkey = l.l_orderkey`)
+	p, err := eng.PrepareView("lim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var whole Result
+	if err := p.QueryInto(&whole); err != nil {
+		t.Fatal(err)
+	}
+	if len(whole.Rows) < 2 {
+		t.Fatalf("fixture yields %d rows; the cap would be vacuous", len(whole.Rows))
+	}
+	for _, limit := range []int{1, 2, len(whole.Rows), len(whole.Rows) + 5} {
+		var got Result
+		if err := p.QueryLimitInto(limit, &got); err != nil {
+			t.Fatal(err)
+		}
+		want := whole.Rows
+		if limit < len(want) {
+			want = want[:limit]
+		}
+		if !reflect.DeepEqual(got.Rows, want) {
+			t.Fatalf("limit %d: got %v want %v", limit, got.Rows, want)
+		}
+	}
+}

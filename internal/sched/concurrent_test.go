@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"tintin/internal/core"
 	"tintin/internal/core/coretest"
 	"tintin/internal/sched"
 	"tintin/internal/sqltypes"
@@ -20,44 +19,40 @@ import (
 func iv(n int64) sqltypes.Value   { return sqltypes.NewInt(n) }
 func fv(f float64) sqltypes.Value { return sqltypes.NewFloat(f) }
 
-// TestConcurrentSafeCommit drives concurrent sessions through the group
-// committer: every clean transfer must commit (even when it shared a
-// rejected batch with a violating one), every violating transfer must be
-// rejected with its own verdict, and the final table state must account
-// for exactly the committed set.
-func TestConcurrentSafeCommit(t *testing.T) {
-	tool := coretest.NewBankTool(t, 4)
+// concurrentInput is one workload driveConcurrent pushes through the
+// group committer: delta builds session s's i-th update and says whether
+// it violates an assertion.
+type concurrentInput struct {
+	sessions, perSession int64
+	delta                func(s, i int64) (d sched.Delta, dirty bool)
+}
+
+// driveConcurrent runs in's sessions concurrently through the group
+// committer of a bank tool with the given worker count: every clean delta
+// must commit (even when it shared a rejected batch with a violating one),
+// every violating delta must be rejected with its own verdict, the final
+// table state must account for exactly the committed set, and that state
+// must be assertion-clean.
+func driveConcurrent(t *testing.T, workers int, in concurrentInput) {
+	t.Helper()
+	tool := coretest.NewBankTool(t, workers)
 	committer := tool.NewCommitter()
 	seeded := tool.DB().MustTable("transfer").Len()
 
-	const sessions = 8
-	const perSession = 15
-	var committed, rejected atomic.Int64
+	var acked, committedRows atomic.Int64
 	var wg sync.WaitGroup
-	for s := 0; s < sessions; s++ {
+	for s := int64(0); s < in.sessions; s++ {
 		wg.Add(1)
 		go func(s int64) {
 			defer wg.Done()
-			for i := int64(0); i < perSession; i++ {
-				id := 10000 + s*1000 + i
-				amount := 1.0 + float64(i)
-				to := int64(200)
-				if i%5 == 4 {
-					amount = 0 // violates positiveAmount
-				}
-				if i%7 == 6 {
-					to = 300 // violates transferEndpointsOpen (closed account)
-				}
-				d := sched.Delta{Ops: []sched.Op{{
-					Table: "transfer",
-					Row:   sqltypes.Row{iv(id), iv(100), iv(to), fv(amount)},
-				}}}
+			for i := int64(0); i < in.perSession; i++ {
+				d, dirty := in.delta(s, i)
 				res, err := committer.Commit(d)
 				if err != nil {
 					t.Errorf("session %d commit %d: %v", s, i, err)
 					return
 				}
-				dirty := amount <= 0 || to == 300
+				acked.Add(1)
 				if res.Committed == dirty {
 					t.Errorf("session %d commit %d: dirty=%v but committed=%v (violations %v)",
 						s, i, dirty, res.Committed, res.Violations)
@@ -66,19 +61,17 @@ func TestConcurrentSafeCommit(t *testing.T) {
 					t.Errorf("session %d commit %d: rejected without a verdict", s, i)
 				}
 				if res.Committed {
-					committed.Add(1)
-				} else {
-					rejected.Add(1)
+					committedRows.Add(int64(len(d.Ops)))
 				}
 			}
-		}(int64(s))
+		}(s)
 	}
 	wg.Wait()
 
-	if got := committed.Load() + rejected.Load(); got != sessions*perSession {
-		t.Fatalf("acked %d sessions' commits, want %d", got, sessions*perSession)
+	if got := acked.Load(); got != in.sessions*in.perSession {
+		t.Fatalf("acked %d commits, want %d", got, in.sessions*in.perSession)
 	}
-	wantRows := seeded + int(committed.Load())
+	wantRows := seeded + int(committedRows.Load())
 	if got := tool.DB().MustTable("transfer").Len(); got != wantRows {
 		t.Fatalf("transfer table has %d rows, want %d (seeded %d + committed)", got, wantRows, seeded)
 	}
@@ -96,58 +89,52 @@ func TestConcurrentSafeCommit(t *testing.T) {
 	}
 }
 
-// TestConcurrentPartitionedSafeCommit is the TestConcurrentSafeCommit
-// workload with intra-view splitting forced on every estimated view
-// (SplitThreshold 1ns): under -race this additionally exercises the
-// partition expansion, concurrent QueryPartitionInto over worker clones,
-// and the partition-order merge. Multi-op deltas widen the event tables so
-// the driving scans actually have rows to cut.
-func TestConcurrentPartitionedSafeCommit(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.Workers = 4
-	opts.SplitThreshold = 1
-	tool := coretest.NewBankToolOpts(t, opts)
-	committer := tool.NewCommitter()
-	seeded := tool.DB().MustTable("transfer").Len()
-
-	const sessions = 6
-	const perSession = 10
-	var committed atomic.Int64
-	var wg sync.WaitGroup
-	for s := 0; s < sessions; s++ {
-		wg.Add(1)
-		go func(s int64) {
-			defer wg.Done()
-			for i := int64(0); i < perSession; i++ {
-				base := 40000 + s*1000 + i*10
-				amount := 2.0
-				dirty := i%3 == 2
-				if dirty {
-					amount = -1.0 // violates positiveAmount
-				}
-				d := sched.Delta{Ops: []sched.Op{
-					{Table: "transfer", Row: sqltypes.Row{iv(base), iv(100), iv(200), fv(amount)}},
-					{Table: "transfer", Row: sqltypes.Row{iv(base + 1), iv(200), iv(100), fv(3.0)}},
-					{Table: "transfer", Row: sqltypes.Row{iv(base + 2), iv(100), iv(200), fv(4.0)}},
-				}}
-				res, err := committer.Commit(d)
-				if err != nil {
-					t.Errorf("session %d commit %d: %v", s, i, err)
-					return
-				}
-				if res.Committed == dirty {
-					t.Errorf("session %d commit %d: dirty=%v but committed=%v", s, i, dirty, res.Committed)
-				}
-				if res.Committed {
-					committed.Add(3)
-				}
+// TestConcurrentSafeCommit drives single-transfer deltas, violating each
+// transfer assertion in turn, from concurrent sessions through a 4-worker
+// tool's group committer.
+func TestConcurrentSafeCommit(t *testing.T) {
+	driveConcurrent(t, 4, concurrentInput{
+		sessions: 8, perSession: 15,
+		delta: func(s, i int64) (sched.Delta, bool) {
+			id := 10000 + s*1000 + i
+			amount := 1.0 + float64(i)
+			to := int64(200)
+			if i%5 == 4 {
+				amount = 0 // violates positiveAmount
 			}
-		}(int64(s))
-	}
-	wg.Wait()
-	if got := tool.DB().MustTable("transfer").Len(); got != seeded+int(committed.Load()) {
-		t.Fatalf("transfer table has %d rows, want %d", got, seeded+int(committed.Load()))
-	}
+			if i%7 == 6 {
+				to = 300 // violates transferEndpointsOpen (closed account)
+			}
+			return sched.Delta{Ops: []sched.Op{{
+				Table: "transfer",
+				Row:   sqltypes.Row{iv(id), iv(100), iv(to), fv(amount)},
+			}}}, amount <= 0 || to == 300
+		},
+	})
+}
+
+// TestConcurrentPartitionedSafeCommit drives multi-op deltas through a
+// 4-worker tool's group committer: wider event tables, so every view task
+// scans several staged rows and a violating row sits among clean ones.
+// (The name dates from when views were also cut into row partitions; each
+// view is now one task.)
+func TestConcurrentPartitionedSafeCommit(t *testing.T) {
+	driveConcurrent(t, 4, concurrentInput{
+		sessions: 6, perSession: 10,
+		delta: func(s, i int64) (sched.Delta, bool) {
+			base := 40000 + s*1000 + i*10
+			amount := 2.0
+			dirty := i%3 == 2
+			if dirty {
+				amount = -1.0 // violates positiveAmount
+			}
+			return sched.Delta{Ops: []sched.Op{
+				{Table: "transfer", Row: sqltypes.Row{iv(base), iv(100), iv(200), fv(amount)}},
+				{Table: "transfer", Row: sqltypes.Row{iv(base + 1), iv(200), iv(100), fv(3.0)}},
+				{Table: "transfer", Row: sqltypes.Row{iv(base + 2), iv(100), iv(200), fv(4.0)}},
+			}}, dirty
+		},
+	})
 }
 
 // TestConcurrentSafeCommitSerialBackend is the same workload with a

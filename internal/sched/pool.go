@@ -5,23 +5,17 @@
 //
 // The concurrency model is strict: the database is an immutable snapshot
 // for the duration of a fan-out (the caller freezes it), every worker owns
-// clones of the compiled plans plus its own scratch buffers, and violation
-// output is merged back in task order, so results are deterministic
-// regardless of which worker ran what when.
+// clones of the compiled plans plus its own scratch buffers, and each task
+// writes its outcome to its own slot of the result, so results are
+// deterministic regardless of which worker ran what when.
 //
-// The unit of scheduled work is a view *partition*, not a view: a task may
-// ask for its plan's driving scan to be split into K disjoint row ranges
-// (Task.Parts), each running as its own subtask, so a single hot view
-// saturates every worker instead of pinning one. Partition outputs are
-// merged back in range order, which makes the split invisible to callers —
-// one Outcome per Task, bit-identical to an unsplit run.
+// The unit of scheduled work is one view: a task is one compiled view
+// plan, run whole by one worker. Views are not cut into row ranges; with
+// delta-proportional checks no single view is worth splitting.
 package sched
 
 import (
-	"context"
 	"fmt"
-	"runtime/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,7 +23,6 @@ import (
 	"tintin/internal/engine"
 	"tintin/internal/obs"
 	"tintin/internal/sqltypes"
-	"tintin/internal/storage"
 )
 
 // Task is one independent commit-check unit: a compiled incremental-view
@@ -42,40 +35,22 @@ type Task struct {
 	// it for plans that are not cacheable: those re-plan per execution and
 	// may build indexes on demand, which mutates shared table state.
 	Serial bool
-	// Parts asks for this task's driving scan to be split into that many
-	// row-range partitions, each scheduled as its own subtask; the partial
-	// outputs are merged back in partition order, so the caller still
-	// receives a single Outcome identical to an unsplit run. Parts <= 1, a
-	// plan with no driving scan (engine.PreparedQuery.DrivingScan), or a
-	// driving table too small to cut leaves the task whole.
-	Parts int
 	// Limit caps the rows collected for this task (0 = unlimited): the
-	// FailFast accept/reject path. The cap is enforced per partition during
-	// execution and again at the merge, so a split task returns exactly the
-	// rows a serial limited run would.
+	// FailFast accept/reject path.
 	Limit int
 }
 
 // Outcome is the result of one task: the rows the view returned (copied out
 // of worker scratch, so they stay valid after the next fan-out) or the
-// execution error. Outcomes are positionally aligned with the task list —
-// the deterministic merge order.
+// execution error. Outcomes are positionally aligned with the task list,
+// so their order never depends on scheduling.
 type Outcome struct {
 	Columns []string
 	Rows    []sqltypes.Row
 	Err     error
-	// Duration is the execution time spent on this task — for a split task
-	// the sum over its partitions (the view's total work, not its wall
-	// time). It feeds the caller's per-view cost model.
+	// Duration is the execution time spent on this task. It feeds the
+	// caller's per-view check durations and latency histograms.
 	Duration time.Duration
-}
-
-// subtask is the pool's internal unit of scheduled work: one whole task or
-// one partition of a split task.
-type subtask struct {
-	task  int // index into the Run tasks
-	part  storage.RowRange
-	split bool
 }
 
 // Pool runs check tasks across a fixed set of workers. Each worker owns
@@ -88,16 +63,14 @@ type Pool struct {
 	// states[0:workers] belong to the worker goroutines; the extra last
 	// slot is the coordinator's serial lane for non-cloneable plans.
 	states []*workerState
-	// subs / partials are the expansion and partial-outcome scratch,
-	// reused across Run calls so steady-state commits don't allocate them.
-	subs     []subtask
-	partials []Outcome
-	// spans is the per-subtask span scratch for traced runs, same reuse
-	// discipline as partials. Only populated when RunSpan gets a parent.
+	// par is the parallel lane's task-index scratch, reused across Run
+	// calls so steady-state commits don't allocate it.
+	par []int
+	// spans is the per-task span scratch for traced runs, same reuse
+	// discipline as par. Only populated when RunSpan gets a parent.
 	spans []*obs.Span
 
-	metrics    PoolMetrics
-	profLabels bool
+	metrics PoolMetrics
 }
 
 // PoolMetrics are the scheduler counters a pool maintains. Every field is
@@ -106,16 +79,11 @@ type Pool struct {
 type PoolMetrics struct {
 	// Tasks counts tasks scheduled across all Run calls.
 	Tasks *obs.Counter
-	// TasksSplit counts tasks whose driving scan was actually partitioned.
-	TasksSplit *obs.Counter
-	// Subtasks counts scheduled work units: serial tasks, unsplit parallel
-	// tasks, and individual partitions of split tasks.
-	Subtasks *obs.Counter
-	// QueueDepth tracks parallel subtasks published but not yet claimed by a
+	// QueueDepth tracks parallel tasks published but not yet claimed by a
 	// worker; it spikes to the fan-out width at the start of each Run and
 	// drains to zero as workers pull.
 	QueueDepth *obs.Gauge
-	// BusyNS accumulates worker execution time (the sum over subtasks, not
+	// BusyNS accumulates worker execution time (the sum over tasks, not
 	// wall time), the numerator of pool utilization.
 	BusyNS *obs.Counter
 }
@@ -123,11 +91,6 @@ type PoolMetrics struct {
 // SetMetrics wires the pool's scheduler metrics. Call before Run; the zero
 // value unwires.
 func (p *Pool) SetMetrics(m PoolMetrics) { p.metrics = m }
-
-// SetProfileLabels toggles pprof labels on subtask execution, so CPU
-// profiles attribute worker samples to view and partition. Off by default:
-// label application allocates, which traced hot paths must not.
-func (p *Pool) SetProfileLabels(on bool) { p.profLabels = on }
 
 type workerState struct {
 	clones map[*engine.PreparedQuery]*engine.PreparedQuery
@@ -151,13 +114,10 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
-// runSub executes one subtask and returns its partial outcome. serial
-// routes around the clone cache (the coordinator runs the shared plan
-// directly, for plans that cannot be cloned).
-func (st *workerState) runSub(t Task, sub subtask, serial bool) (out Outcome) {
+// run executes one task and returns its outcome. serial routes around the
+// clone cache (the coordinator runs the shared plan directly, for plans
+// that cannot be cloned).
+func (st *workerState) run(t Task, serial bool) (out Outcome) {
 	// A panic on a pool goroutine would kill the process (nothing above a
 	// worker recovers); surface it as this task's error instead, matching
 	// the serial path where the committer's leader recovers.
@@ -179,12 +139,7 @@ func (st *workerState) runSub(t Task, sub subtask, serial bool) (out Outcome) {
 		plan = clone
 	}
 	start := time.Now()
-	var err error
-	if sub.split {
-		err = plan.QueryPartitionInto(sub.part, t.Limit, &st.res)
-	} else {
-		err = plan.QueryLimitInto(t.Limit, &st.res)
-	}
+	err := plan.QueryLimitInto(t.Limit, &st.res)
 	out.Duration = time.Since(start)
 	if err != nil {
 		out.Err = err
@@ -199,112 +154,73 @@ func (st *workerState) runSub(t Task, sub subtask, serial bool) (out Outcome) {
 	return out
 }
 
-// expand turns the task list into the subtask schedule: serial-lane indexes
-// first (returned separately), then the parallel subtasks — split tasks
-// contributing one subtask per driving-scan partition. Expansion runs on
-// the coordinator before any worker starts, so the read-only Partitions
-// call sees the same quiescent table state the workers will.
-func (p *Pool) expand(tasks []Task) (par []subtask, ser []int) {
-	par = p.subs[:0]
+// Run executes every task and returns their outcomes in task order. Tasks
+// marked Serial run first, on the coordinator goroutine, BEFORE the
+// workers start: a serial task re-plans per execution and may build an
+// index on demand — a table mutation that must not overlap the workers'
+// reads. The parallel tasks are then pulled off a shared counter by the
+// workers. The caller must guarantee the database is quiescent for the
+// duration.
+func (p *Pool) Run(tasks []Task) []Outcome { return p.RunSpan(tasks, nil) }
+
+// RunSpan is Run with trace instrumentation: when parent is non-nil, the
+// pool records one child span per task (view, lane, worker id, row count).
+// Parallel task spans are pre-created here on the coordinator, in task
+// order, before any worker starts; each worker then fills only its own
+// spans, so the span tree needs no locking and its shape does not depend
+// on scheduling. A nil parent (the Run path) skips all span work.
+func (p *Pool) RunSpan(tasks []Task, parent *obs.Span) []Outcome {
+	outs := make([]Outcome, len(tasks))
+	p.metrics.Tasks.Add(int64(len(tasks)))
+
+	coord := p.states[p.workers]
+	par := p.par[:0]
 	for i, t := range tasks {
 		// Non-cacheable plans are forced onto the serial lane regardless of
 		// what the caller set: Clone returns the shared receiver for them,
 		// so two workers would race on the same plan (and on the engine's
 		// plan cache through its per-execution re-planning).
-		if t.Serial || !t.Plan.Cacheable() {
-			ser = append(ser, i)
+		if !t.Serial && t.Plan.Cacheable() {
+			par = append(par, i)
 			continue
 		}
-		if t.Parts > 1 {
-			if tab, ok := t.Plan.DrivingScan(); ok {
-				if ranges := tab.Partitions(t.Parts); len(ranges) > 1 {
-					for _, r := range ranges {
-						par = append(par, subtask{task: i, part: r, split: true})
-					}
-					continue
-				}
-			}
-		}
-		par = append(par, subtask{task: i})
-	}
-	p.subs = par
-	return par, ser
-}
-
-// merge folds the partial outcomes (aligned with subs) back into one
-// Outcome per task: rows concatenate in partition order — the deterministic
-// serial order — durations sum, the first error in partition order wins and
-// clears that task's rows, and Limit is re-applied across the whole task so
-// a split FailFast check returns exactly the serial prefix.
-func merge(tasks []Task, subs []subtask, partials []Outcome, outs []Outcome) {
-	for si, sub := range subs {
-		pr := &partials[si]
-		o := &outs[sub.task]
-		o.Duration += pr.Duration
-		if o.Err != nil {
-			continue
-		}
-		if pr.Err != nil {
-			o.Err = pr.Err
-			o.Columns, o.Rows = nil, nil
-			continue
-		}
-		if len(pr.Rows) == 0 {
-			continue
-		}
-		if o.Columns == nil {
-			o.Columns = pr.Columns
-		}
-		if o.Rows == nil {
-			o.Rows = pr.Rows
-		} else {
-			o.Rows = append(o.Rows, pr.Rows...)
-		}
-	}
-	for i, t := range tasks {
-		if t.Limit > 0 && len(outs[i].Rows) > t.Limit {
-			outs[i].Rows = outs[i].Rows[:t.Limit]
-		}
-	}
-}
-
-// Run executes every task and returns their outcomes in task order. Tasks
-// marked Serial run first, on the coordinator goroutine, BEFORE the
-// workers start: a serial task re-plans per execution and may build an
-// index on demand — a table mutation that must not overlap the workers'
-// reads. The parallel subtasks (whole tasks and partitions of split tasks)
-// are then pulled off a shared counter by the workers. The caller must
-// guarantee the database is quiescent for the duration.
-func (p *Pool) Run(tasks []Task) []Outcome { return p.RunSpan(tasks, nil) }
-
-// RunSpan is Run with trace instrumentation: when parent is non-nil, the
-// pool records one child span per scheduled subtask (view, lane, partition
-// bounds, worker id, row count) plus a merge span. Subtask spans are
-// pre-created here on the coordinator, in deterministic subtask order,
-// before any worker starts; each worker then fills only its own spans, so
-// the span tree needs no locking and its shape does not depend on
-// scheduling. A nil parent (the Run path) skips all span work.
-func (p *Pool) RunSpan(tasks []Task, parent *obs.Span) []Outcome {
-	outs := make([]Outcome, len(tasks))
-	par, ser := p.expand(tasks)
-
-	p.metrics.Tasks.Add(int64(len(tasks)))
-	p.metrics.Subtasks.Add(int64(len(par) + len(ser)))
-	if p.metrics.TasksSplit != nil {
-		for si, sub := range par {
-			if sub.split && (si == 0 || par[si-1].task != sub.task) {
-				p.metrics.TasksSplit.Inc()
-			}
-		}
-	}
-
-	coord := p.states[p.workers]
-	for _, ti := range ser {
 		sp := parent.Child("task")
-		sp.SetAttr("view", tasks[ti].Plan.Name())
+		sp.SetAttr("view", t.Plan.Name())
 		sp.SetAttr("lane", "serial")
-		outs[ti] = coord.runSub(tasks[ti], subtask{task: ti}, true)
+		outs[i] = coord.run(t, true)
+		p.metrics.BusyNS.Add(int64(outs[i].Duration))
+		sp.SetAttrInt("rows", int64(len(outs[i].Rows)))
+		sp.End()
+	}
+	p.par = par
+
+	var spans []*obs.Span
+	if parent != nil {
+		if cap(p.spans) < len(par) {
+			p.spans = make([]*obs.Span, len(par))
+		}
+		spans = p.spans[:len(par)]
+		for j, ti := range par {
+			sp := parent.Child("task")
+			sp.SetAttr("view", tasks[ti].Plan.Name())
+			sp.SetAttr("lane", "parallel")
+			spans[j] = sp
+		}
+		p.spans = spans
+	}
+
+	p.metrics.QueueDepth.Set(int64(len(par)))
+	runOne := func(st *workerState, w, j int) {
+		ti := par[j]
+		p.metrics.QueueDepth.Add(-1)
+		var sp *obs.Span
+		if spans != nil {
+			sp = spans[j]
+			sp.Begin()
+		}
+		outs[ti] = st.run(tasks[ti], false)
 		p.metrics.BusyNS.Add(int64(outs[ti].Duration))
+		sp.SetAttrInt("worker", int64(w))
 		sp.SetAttrInt("rows", int64(len(outs[ti].Rows)))
 		sp.End()
 	}
@@ -313,86 +229,29 @@ func (p *Pool) RunSpan(tasks []Task, parent *obs.Span) []Outcome {
 	if nw > len(par) {
 		nw = len(par)
 	}
-	if cap(p.partials) < len(par) {
-		p.partials = make([]Outcome, len(par))
-	}
-	partials := p.partials[:len(par)]
-	for i := range partials {
-		partials[i] = Outcome{} // stale results from the previous Run
-	}
-	p.partials = partials
-
-	var spans []*obs.Span
-	if parent != nil {
-		if cap(p.spans) < len(par) {
-			p.spans = make([]*obs.Span, len(par))
-		}
-		spans = p.spans[:len(par)]
-		for si, sub := range par {
-			sp := parent.Child("task")
-			sp.SetAttr("view", tasks[sub.task].Plan.Name())
-			if sub.split {
-				sp.SetAttr("lane", "split")
-				sp.SetAttrInt("part_start", int64(sub.part.Start))
-				sp.SetAttrInt("part_end", int64(sub.part.End))
-			} else {
-				sp.SetAttr("lane", "parallel")
-			}
-			spans[si] = sp
-		}
-		p.spans = spans
-	}
-
-	p.metrics.QueueDepth.Set(int64(len(par)))
-	runOne := func(st *workerState, w, i int) {
-		sub := par[i]
-		p.metrics.QueueDepth.Add(-1)
-		var sp *obs.Span
-		if spans != nil {
-			sp = spans[i]
-			sp.Begin()
-		}
-		if p.profLabels {
-			lbls := pprof.Labels("view", tasks[sub.task].Plan.Name(),
-				"partition", strconv.Itoa(sub.part.Start))
-			pprof.Do(context.Background(), lbls, func(context.Context) {
-				partials[i] = st.runSub(tasks[sub.task], sub, false)
-			})
-		} else {
-			partials[i] = st.runSub(tasks[sub.task], sub, false)
-		}
-		p.metrics.BusyNS.Add(int64(partials[i].Duration))
-		sp.SetAttrInt("worker", int64(w))
-		sp.SetAttrInt("rows", int64(len(partials[i].Rows)))
-		sp.End()
-	}
-
 	if nw <= 1 {
 		// Nothing to fan out (or a single worker): run everything here and
 		// skip the goroutine machinery.
-		for si := range par {
-			runOne(p.states[0], 0, si)
+		for j := range par {
+			runOne(p.states[0], 0, j)
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func(st *workerState, w int) {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1) - 1)
-					if i >= len(par) {
-						return
-					}
-					runOne(st, w, i)
-				}
-			}(p.states[w], w)
-		}
-		wg.Wait()
+		return outs
 	}
-	ms := parent.Child("merge")
-	merge(tasks, par, partials, outs)
-	ms.End()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < nw; w++ {
+		wg.Add(1)
+		go func(st *workerState, w int) {
+			defer wg.Done()
+			for {
+				j := int(next.Add(1) - 1)
+				if j >= len(par) {
+					return
+				}
+				runOne(st, w, j)
+			}
+		}(p.states[w], w)
+	}
+	wg.Wait()
 	return outs
 }
