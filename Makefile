@@ -44,8 +44,9 @@ test-race:
 
 ## fuzz: budgeted smoke run of the fuzz targets — the differential oracle
 ## (incremental vs baseline verdicts across all commit-check modes), the
-## group-commit attribution stream, the parser round-trip property, and WAL
-## open + replay over mutated log and snapshot bytes.
+## group-commit attribution stream, the parser round-trip property, WAL
+## open + replay over mutated log and snapshot bytes, and storage table
+## indexes against a slice model under random operation sequences.
 ## The checked-in corpora under testdata/fuzz/ replay as seeds on every
 ## plain `go test` run; this target additionally mutates for FUZZTIME each.
 FUZZTIME ?= 30s
@@ -54,6 +55,7 @@ fuzz:
 	$(GO) test ./internal/difftest -fuzz 'FuzzAttribution$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqlparser -fuzz 'FuzzParseRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -fuzz 'FuzzWALOpen$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage -fuzz 'FuzzTableIndex$$' -fuzztime $(FUZZTIME)
 
 ## bench: the full benchmark families (reduced scales; minutes).
 bench:

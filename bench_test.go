@@ -565,6 +565,7 @@ func BenchmarkSafeCommitWAL(b *testing.B) {
 
 // BenchmarkSafeCommitApply measures a full safeCommit cycle including the
 // apply step (stage → check → commit), the end-to-end transaction cost.
+// Recorded under "apply" in BENCH_safecommit.json.
 func BenchmarkSafeCommitApply(b *testing.B) {
 	f := getFixture(b, 1, core.DefaultOptions(), "apply", []string{tpch.AssertionAtLeastOneLineItem})
 	b.ResetTimer()

@@ -10,7 +10,7 @@ import (
 // worker of the parallel commit-check scheduler: the immutable plan shape
 // (AST, conjunct placement, probe offsets, sources, index handles) is
 // shared, while every piece of per-execution state — scope tuples, probe
-// value buffers, key scratch, level visitors, IN-subquery memos — is
+// value buffers, level visitors, IN-subquery memos — is
 // private to the clone. Two goroutines may then execute the original and
 // the clone (or two clones) concurrently over a quiescent database.
 //

@@ -214,3 +214,53 @@ func TestUncorrelatedInMemoized(t *testing.T) {
 		t.Errorf("IN with NULL: %v", canonical(res))
 	}
 }
+
+// TestIndexProbesMatchScansCollidingHash reruns TestIndexProbesMatchScans
+// with every index key hashing alike, so each index is a single chain:
+// every probe result then rests on candidate verification alone.
+func TestIndexProbesMatchScansCollidingHash(t *testing.T) {
+	defer storage.ForceHashCollisions()()
+	TestIndexProbesMatchScans(t)
+}
+
+// TestIntegersBeyondFloatPrecision: float64 rounds 2^53+1 onto 2^53. Key
+// checks, index probes, IN sets and duplicate elimination must still tell
+// the two INTEGERs apart.
+func TestIntegersBeyondFloatPrecision(t *testing.T) {
+	db := storage.NewDB("d")
+	if _, err := New(db).ExecSQL(`
+		CREATE TABLE p (k INTEGER PRIMARY KEY);
+		CREATE TABLE t (k INTEGER);
+		CREATE TABLE u (k INTEGER);
+		CREATE TABLE w (k INTEGER);
+		INSERT INTO p VALUES (9007199254740992);
+		INSERT INTO t VALUES (9007199254740992);
+		INSERT INTO u VALUES (9007199254740993);
+		INSERT INTO w VALUES (9007199254740992), (9007199254740993);`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(db).ExecSQL("INSERT INTO p VALUES (9007199254740993);"); err != nil {
+		t.Errorf("second key rejected: %v", err)
+	}
+	cases := []struct{ q, want string }{
+		{"SELECT p.k FROM p", "[(9007199254740992) (9007199254740993)]"},
+		{"SELECT u.k, t.k FROM u, t WHERE t.k = u.k", "[]"},
+		{"SELECT u.k FROM u WHERE u.k IN (SELECT t.k FROM t)", "[]"},
+		{"SELECT u.k FROM u WHERE u.k NOT IN (SELECT t.k FROM t)", "[(9007199254740993)]"},
+		{"SELECT DISTINCT w.k FROM w", "[(9007199254740992) (9007199254740993)]"},
+		{"SELECT t.k FROM t UNION SELECT u.k FROM u", "[(9007199254740992) (9007199254740993)]"},
+	}
+	for _, noProbes := range []bool{false, true} {
+		eng := New(db)
+		eng.DisableIndexProbes = noProbes
+		for _, c := range cases {
+			res, err := eng.QuerySQL(c.q)
+			if err != nil {
+				t.Fatalf("noProbes=%v %q: %v", noProbes, c.q, err)
+			}
+			if got := canonical(res); got != c.want {
+				t.Errorf("noProbes=%v %q = %s, want %s", noProbes, c.q, got, c.want)
+			}
+		}
+	}
+}

@@ -109,10 +109,6 @@ type exec struct {
 	scalarVal  sqltypes.Value
 	scalarN    int
 	scalarEmit func(sqltypes.Row) (bool, error)
-	// keyScratch is the probe-key encoding buffer. It lives on the exec —
-	// not the table — so every worker running its own exec clone probes a
-	// shared table without contending on scratch state.
-	keyScratch []byte
 
 	// skipProject suppresses leaf projection (aggregate mode accumulates
 	// from the bound scope instead).
@@ -557,7 +553,7 @@ func (ex *exec) loop(k int) (bool, error) {
 			}
 			ex.probeIdx[k] = idx
 		}
-		idx.ScanIdentical(&ex.keyScratch, vals, lv.tryFn)
+		idx.ScanIdentical(vals, lv.tryFn)
 		ex.scope.tuple[k] = nil
 		if lv.err != nil {
 			return false, lv.err

@@ -3,13 +3,15 @@
 //
 // Values are small immutable scalars with SQL-like comparison semantics:
 // integers and floats compare numerically across kinds, NULL compares as
-// unknown (reported via an ok flag), and every non-null value has a stable
-// byte encoding usable as a hash-index key.
+// unknown (reported via an ok flag), and every value has a stable byte
+// encoding and an allocation-free hash, both agreeing with Identical.
 package sqltypes
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strconv"
 	"strings"
@@ -141,31 +143,25 @@ func (v Value) String() string {
 }
 
 // Compare orders two values. The ok result is false when either side is NULL
-// (SQL unknown) or the kinds are incomparable; cmp is then meaningless.
-// Numeric kinds compare with each other; strings and bools compare within
-// their own kind (false < true).
-func Compare(a, b Value) (cmp int, ok bool) {
+// (SQL unknown) or the kinds are incomparable; c is then meaningless.
+// Numeric kinds compare with each other exactly (an INTEGER beyond ±2^53
+// is not rounded to the nearest REAL); strings and bools compare within
+// their own kind (false < true). A NaN REAL orders below every number and
+// equal to itself.
+func Compare(a, b Value) (c int, ok bool) {
 	if a.kind == KindNull || b.kind == KindNull {
 		return 0, false
 	}
 	if a.IsNumeric() && b.IsNumeric() {
-		if a.kind == KindInt && b.kind == KindInt {
-			switch {
-			case a.i < b.i:
-				return -1, true
-			case a.i > b.i:
-				return 1, true
-			}
-			return 0, true
-		}
-		af, bf := a.Float(), b.Float()
 		switch {
-		case af < bf:
-			return -1, true
-		case af > bf:
-			return 1, true
+		case a.kind == KindInt && b.kind == KindInt:
+			return cmp.Compare(a.i, b.i), true
+		case a.kind == KindInt:
+			return cmpIntFloat(a.i, b.f), true
+		case b.kind == KindInt:
+			return -cmpIntFloat(b.i, a.f), true
 		}
-		return 0, true
+		return cmp.Compare(a.f, b.f), true
 	}
 	if a.kind != b.kind {
 		return 0, false
@@ -202,31 +198,147 @@ func Identical(a, b Value) bool {
 	return Equal(a, b)
 }
 
-// EncodeKey appends a stable, injective-per-kind-class encoding of v to dst.
-// Numerically equal INTEGER and REAL values encode identically so that hash
-// index probes agree with Compare.
+// cmpIntFloat compares an INTEGER with a REAL exactly. Converting i to
+// float64 would round integers beyond ±2^53 and call 2^53+1 equal to 2^53.
+func cmpIntFloat(i int64, f float64) int {
+	switch {
+	case math.IsNaN(f):
+		return 1
+	case f >= 0x1p63:
+		return -1
+	case f < -0x1p63:
+		return 1
+	}
+	t := math.Trunc(f)
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmp.Compare(t, f)
+}
+
+// exactFloat returns i as a float64 when that conversion loses nothing.
+func exactFloat(i int64) (float64, bool) {
+	f := float64(i)
+	return f, f < 0x1p63 && int64(f) == i
+}
+
+// floatKeyBits is the key payload of a numeric value held as f: -0 and +0
+// compare equal and so share a key, as do all NaNs.
+func floatKeyBits(f float64) uint64 {
+	switch {
+	case f == 0:
+		return 0
+	case math.IsNaN(f):
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(f)
+}
+
+// Key tags: the first byte of every EncodeKey encoding. Hash mixes them in
+// for the values that have no Word.
+const (
+	keyNull   = 0x00
+	keyNum    = 0x01 // REALs, and INTEGERs a float64 holds exactly
+	keyString = 0x02
+	keyBool   = 0x03
+	keyInt    = 0x04 // INTEGERs beyond float64's exact range
+)
+
+// EncodeKey appends a stable, injective encoding of v to dst: two values
+// encode alike exactly when they are Identical. Numerically equal INTEGER
+// and REAL values therefore share the float encoding, and an INTEGER that
+// no REAL equals (|i| > 2^53, not representable) gets a tag of its own.
 func (v Value) EncodeKey(dst []byte) []byte {
+	var b [9]byte
 	switch v.kind {
 	case KindNull:
-		return append(dst, 0x00)
-	case KindInt, KindFloat:
-		// Integers that fit exactly in float64 share the float encoding.
-		bits := math.Float64bits(v.Float())
-		var b [9]byte
-		b[0] = 0x01
-		binary.BigEndian.PutUint64(b[1:], bits)
+		return append(dst, keyNull)
+	case KindInt:
+		if f, ok := exactFloat(v.i); ok {
+			b[0] = keyNum
+			binary.BigEndian.PutUint64(b[1:], floatKeyBits(f))
+		} else {
+			b[0] = keyInt
+			binary.BigEndian.PutUint64(b[1:], uint64(v.i))
+		}
+		return append(dst, b[:]...)
+	case KindFloat:
+		b[0] = keyNum
+		binary.BigEndian.PutUint64(b[1:], floatKeyBits(v.f))
 		return append(dst, b[:]...)
 	case KindString:
-		dst = append(dst, 0x02)
+		dst = append(dst, keyString)
 		dst = append(dst, v.s...)
 		return append(dst, 0x00)
 	case KindBool:
 		if v.b {
-			return append(dst, 0x03, 0x01)
+			return append(dst, keyBool, 0x01)
 		}
-		return append(dst, 0x03, 0x00)
+		return append(dst, keyBool, 0x00)
 	}
 	return append(dst, 0xff)
+}
+
+// Words of the non-numeric values: NaN bit patterns that floatKeyBits,
+// which maps every NaN to math.NaN(), never returns.
+const (
+	nullWord  = 0xfff8000000000000
+	falseWord = 0xfff8000000000001
+	trueWord  = 0xfff8000000000002
+	// NoWord is the Word of a value that has none.
+	NoWord = 0xfff8000000000003
+)
+
+// Word returns a 64-bit word standing for v exactly: for two values whose
+// words are not NoWord, Identical(a, b) holds exactly when their words are
+// equal. Strings, and INTEGERs that no float64 holds (beyond ±2^53), have
+// no word; such a value is Identical to no value that has one. A hash index
+// keeps the words of its keys beside its chains, so verifying a candidate
+// mostly needs no load of the row itself.
+func (v Value) Word() uint64 {
+	switch v.kind {
+	case KindNull:
+		return nullWord
+	case KindInt:
+		if f, ok := exactFloat(v.i); ok {
+			return floatKeyBits(f)
+		}
+	case KindFloat:
+		return floatKeyBits(v.f)
+	case KindBool:
+		if v.b {
+			return trueWord
+		}
+		return falseWord
+	}
+	return NoWord
+}
+
+// stringSeed keys the string hash. It is random per process; nothing may
+// depend on hash order, only on hash agreement within one process.
+var stringSeed = maphash.MakeSeed()
+
+// Hash mixes v into h and returns the result. It agrees with EncodeKey:
+// values that encode alike (and so are Identical) hash alike, whatever
+// their kinds, so a hash index probed with 5 finds the row holding 5.0.
+// Unlike EncodeKey it allocates nothing; distinct values may collide, so a
+// hash match is a candidate to verify, never a verdict.
+func (v Value) Hash(h uint64) uint64 {
+	switch w := v.Word(); {
+	case w != NoWord:
+		return mix(h, w)
+	case v.kind == KindString:
+		return mix(mix(h, keyString), maphash.String(stringSeed, v.s))
+	}
+	return mix(mix(h, keyInt), uint64(v.i))
+}
+
+// mix folds x into h. For a fixed h it is a bijection of x (xor, an odd
+// multiply and an xorshift are each invertible), so one-column keys that
+// have a Word never collide.
+func mix(h, x uint64) uint64 {
+	h = (h ^ x) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
 }
 
 // Row is an ordered tuple of values.

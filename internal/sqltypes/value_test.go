@@ -158,7 +158,9 @@ func TestIdenticalRows(t *testing.T) {
 
 // genValue produces an arbitrary Value for quick-check properties.
 func genValue(r *rand.Rand) Value {
-	switch r.Intn(5) {
+	switch r.Intn(6) {
+	case 5:
+		return edgeNumerics[r.Intn(len(edgeNumerics))]
 	case 0:
 		return Null
 	case 1:
@@ -170,6 +172,17 @@ func genValue(r *rand.Rand) Value {
 	default:
 		return NewBool(r.Intn(2) == 0)
 	}
+}
+
+// edgeNumerics are the numbers where an INTEGER/REAL comparison through
+// float64 goes wrong: integers past 2^53 that round onto a neighbour, the
+// int64 extremes, signed zero, infinities and NaN.
+var edgeNumerics = []Value{
+	NewInt(1 << 53), NewInt(1<<53 + 1), NewInt(-(1 << 53) - 1), NewInt(1<<62 + 1),
+	NewInt(math.MaxInt64), NewInt(math.MinInt64), NewInt(0),
+	NewFloat(0x1p53), NewFloat(0x1p53 + 2), NewFloat(0x1p63), NewFloat(-0x1p63),
+	NewFloat(math.Copysign(0, -1)), NewFloat(0.5), NewFloat(math.Inf(1)),
+	NewFloat(math.Inf(-1)), NewFloat(math.NaN()),
 }
 
 type valuePair struct{ A, B Value }
@@ -197,10 +210,25 @@ func TestCompareAntisymmetryProperty(t *testing.T) {
 
 func TestEncodeKeyConsistentWithEqualProperty(t *testing.T) {
 	// Equal values must encode identically; non-equal comparable values
-	// must encode differently.
+	// must encode differently. Across all values, NULL included, equal
+	// encodings are exactly Identical, and equal encodings hash alike.
 	f := func(p valuePair) bool {
 		ka := string(p.A.EncodeKey(nil))
 		kb := string(p.B.EncodeKey(nil))
+		if (ka == kb) != Identical(p.A, p.B) {
+			return false
+		}
+		if ka == kb && p.A.Hash(7) != p.B.Hash(7) {
+			return false
+		}
+		// Words decide identity exactly, where both values have one.
+		wa, wb := p.A.Word(), p.B.Word()
+		if wa != NoWord && wb != NoWord && (wa == wb) != Identical(p.A, p.B) {
+			return false
+		}
+		if (wa == NoWord) != (wb == NoWord) && Identical(p.A, p.B) {
+			return false
+		}
 		cmp, ok := Compare(p.A, p.B)
 		if !ok {
 			return true
@@ -261,7 +289,38 @@ func TestFloatIntKeyAgreement(t *testing.T) {
 			t.Fatalf("key mismatch for %d", i)
 		}
 	}
-	if math.MaxInt64 == 0 { // silence unused import in some build modes
-		t.Skip()
+}
+
+// TestIntegersBeyondFloatPrecision: INTEGERs past 2^53 round to a
+// neighbour as float64. They must still compare, encode and hash as
+// themselves, and equal a REAL only when the REAL holds them exactly.
+func TestIntegersBeyondFloatPrecision(t *testing.T) {
+	a, b := NewInt(1<<53), NewInt(1<<53+1)
+	if Identical(a, b) || string(a.EncodeKey(nil)) == string(b.EncodeKey(nil)) || a.Hash(0) == b.Hash(0) {
+		t.Errorf("2^53 and 2^53+1 are not told apart")
+	}
+	if c, _ := Compare(a, b); c != -1 {
+		t.Errorf("Compare(2^53, 2^53+1) = %d, want -1", c)
+	}
+	if !Identical(a, NewFloat(0x1p53)) || a.Hash(0) != NewFloat(0x1p53).Hash(0) {
+		t.Errorf("2^53 and 2^53 as REAL differ")
+	}
+	if Identical(b, NewFloat(0x1p53)) {
+		t.Errorf("2^53+1 equals the REAL 2^53")
+	}
+	if c, _ := Compare(b, NewFloat(0x1p53+2)); c != -1 {
+		t.Errorf("Compare(2^53+1, 2^53+2.0) = %d, want -1", c)
+	}
+	if c, _ := Compare(NewInt(math.MaxInt64), NewFloat(0x1p63)); c != -1 {
+		t.Errorf("Compare(MaxInt64, 2^63) = %d, want -1", c)
+	}
+	if !Identical(NewInt(math.MinInt64), NewFloat(-0x1p63)) {
+		t.Errorf("MinInt64 differs from -2^63 as REAL")
+	}
+	if c, _ := Compare(NewInt(3), NewFloat(2.5)); c != 1 {
+		t.Errorf("Compare(3, 2.5) = %d, want 1", c)
+	}
+	if c, _ := Compare(NewInt(-3), NewFloat(-2.5)); c != -1 {
+		t.Errorf("Compare(-3, -2.5) = %d, want -1", c)
 	}
 }

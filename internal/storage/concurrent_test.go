@@ -1,8 +1,7 @@
-// Concurrency tests for snapshot-safe probing: with scratch buffers moved
-// out of Table/Index, any number of readers with private scratch may probe
-// and scan concurrently, and mutations on *other* tables (including
-// DeleteRow slot-reuse and Truncate) never perturb them. Run under -race
-// via make test-race.
+// Concurrency tests for snapshot-safe probing: Table and Index hold no
+// scratch state, so any number of readers may probe and scan concurrently,
+// and mutations on *other* tables (including DeleteRow slot reuse and
+// Truncate) never perturb them. Run under -race via make test-race.
 package storage
 
 import (
@@ -34,7 +33,7 @@ func newConcTable(t *testing.T, name string, rows int) *Table {
 }
 
 // TestConcurrentReadersSharedIndex: many readers share one Index handle
-// over a quiescent table, each with a private scratch buffer, while
+// over a quiescent table while
 // another table in the same database churns through DeleteRow slot reuse
 // and Truncate. No reader may ever observe a torn row or a wrong bucket.
 func TestConcurrentReadersSharedIndex(t *testing.T) {
@@ -76,13 +75,12 @@ func TestConcurrentReadersSharedIndex(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			var scratch []byte
 			probe := make([]sqltypes.Value, 1)
 			for i := 0; i < 5000; i++ {
 				k := int64((i + r) % 50)
 				probe[0] = ci(k)
 				n := 0
-				idx.ScanIdentical(&scratch, probe, func(row sqltypes.Row) bool {
+				idx.ScanIdentical(probe, func(row sqltypes.Row) bool {
 					if row[0].Int() != k || row[1].Int() != k*7 {
 						t.Errorf("reader %d: torn row %v for key %d", r, row, k)
 						return false
@@ -125,10 +123,10 @@ func TestConcurrentReadersSharedIndex(t *testing.T) {
 	mutWG.Wait()
 }
 
-// TestConcurrentProbesPrivateScratch: two goroutines probing through the
-// same Index with different keys must not share encoding state — each sees
-// exactly its own bucket.
-func TestConcurrentProbesPrivateScratch(t *testing.T) {
+// TestConcurrentProbesDistinctKeys: goroutines probing through the same
+// Index with different keys must share no probe state — each sees exactly
+// its own key's rows.
+func TestConcurrentProbesDistinctKeys(t *testing.T) {
 	tb := newConcTable(t, "t", 500)
 	idx, err := tb.IndexOn([]int{0})
 	if err != nil {
@@ -139,16 +137,15 @@ func TestConcurrentProbesPrivateScratch(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var scratch []byte
 			for i := 0; i < 10000; i++ {
 				k := int64((g*13 + i) % 50)
 				got := int64(-1)
-				idx.ScanIdentical(&scratch, []sqltypes.Value{ci(k)}, func(row sqltypes.Row) bool {
+				idx.ScanIdentical([]sqltypes.Value{ci(k)}, func(row sqltypes.Row) bool {
 					got = row[0].Int()
 					return false
 				})
 				if got != k {
-					t.Errorf("goroutine %d: probed %d, bucket returned %d", g, k, got)
+					t.Errorf("goroutine %d: probed %d, index returned %d", g, k, got)
 					return
 				}
 			}

@@ -265,9 +265,8 @@ func (db *DB) CaptureEnabled() bool { return db.capture }
 // construction, and failing loudly beats silently racing the readers.
 // The guard covers these DB-level paths (everything the engine and the
 // tool write through), not direct Table-method mutations. Concurrent
-// readers (scans and index probes with per-caller scratch) are safe over
-// a frozen database; this is the contract the parallel commit-check
-// scheduler relies on.
+// readers (scans and index probes) are safe over a frozen database; this
+// is the contract the parallel commit-check scheduler relies on.
 func (db *DB) Freeze() { db.frozen.Store(true) }
 
 // Thaw lifts a Freeze, re-enabling writes.
@@ -384,10 +383,13 @@ func (db *DB) NormalizeEvents() int {
 
 // validateEvents proves the replay cannot fail mid-apply, so ApplyEvents
 // is all-or-nothing: every pending insertion must satisfy the base schema,
-// and with a declared primary key its key must be either absent from the
-// base table, freed by a pending deletion, or not claimed twice within the
-// pending insertions. These are exactly Table.Insert's failure modes, so a
-// validated replay cannot error after mutation has begun.
+// and with a declared primary key its key must be claimed by no other
+// pending insertion and held by no base row, unless a pending deletion
+// frees that row. These are exactly Table.Insert's failure modes, so a
+// validated replay cannot error after mutation has begun. The key checks
+// probe the base table's key index and an index on the same columns of
+// the insertion table; a base row counts as freed when the deletion table
+// holds a row identical to it.
 func (db *DB) validateEvents() error {
 	for _, name := range db.BaseTableNames() {
 		ins := db.tables[InsTable(name)]
@@ -395,44 +397,29 @@ func (db *DB) validateEvents() error {
 			continue
 		}
 		base := db.tables[name]
-		var freed map[string]bool
-		pkOffs := base.Schema().PrimaryKeyOffsets()
-		if base.pkIndex != nil {
-			freed = map[string]bool{}
-			if del := db.tables[DelTable(name)]; del != nil && del.Len() > 0 {
-				del.Scan(func(r sqltypes.Row) bool {
-					if base.ContainsRow(r) {
-						freed[r.KeyOn(pkOffs)] = true
-					}
-					return true
-				})
-			}
+		del := db.tables[DelTable(name)]
+		pk := base.pk
+		var insKeys *index
+		if pk != nil {
+			insKeys = ins.ensureIndexOffsets(pk.cols)
 		}
-		var verr error
-		seen := map[string]bool{}
-		ins.Scan(func(r sqltypes.Row) bool {
+		for slot, r := range ins.rows {
+			if !ins.alive[slot] {
+				continue
+			}
 			checked, err := base.Schema().CheckRow(r)
 			if err != nil {
-				verr = fmt.Errorf("storage: applying events to %s: %w", name, err)
-				return false
+				return fmt.Errorf("storage: applying events to %s: %w", name, err)
 			}
-			if base.pkIndex == nil {
-				return true
+			if pk == nil {
+				continue
 			}
-			k := checked.KeyOn(pkOffs)
-			if seen[k] {
-				verr = fmt.Errorf("storage: applying events to %s: duplicate primary key %s among pending insertions", name, checked)
-				return false
+			if ins.first(insKeys, r, pk.cols) != int32(slot) {
+				return fmt.Errorf("storage: applying events to %s: duplicate primary key %s among pending insertions", name, checked)
 			}
-			seen[k] = true
-			if _, exists := base.pkIndex[k]; exists && !freed[k] {
-				verr = fmt.Errorf("storage: applying events to %s: duplicate primary key %s", name, checked)
-				return false
+			if held := base.first(pk, checked, pk.cols); held != noSlot && (del == nil || !del.ContainsRow(base.rows[held])) {
+				return fmt.Errorf("storage: applying events to %s: duplicate primary key %s", name, checked)
 			}
-			return true
-		})
-		if verr != nil {
-			return verr
 		}
 	}
 	return nil
@@ -552,18 +539,16 @@ func (db *DB) CheckForeignKeys() []string {
 	return issues
 }
 
-// Clone deep-copies the database (tables, rows and views). Indexes are not
-// copied; they rebuild lazily. Used by the non-incremental baseline to apply
-// an update to a shadow state.
+// Clone deep-copies the database (tables, rows and views). Indexes other
+// than primary keys, which every table keeps, are not copied; they rebuild
+// lazily. Used by the non-incremental baseline to apply an update to a
+// shadow state.
 func (db *DB) Clone() *DB {
 	nd := NewDB(db.Name)
 	for name, t := range db.tables {
 		nt := NewTable(t.Schema())
 		t.Scan(func(r sqltypes.Row) bool {
 			nt.insertRaw(r.Clone())
-			if nt.pkIndex != nil {
-				nt.pkIndex[r.KeyOn(nt.schema.PrimaryKeyOffsets())] = nt.lastSlot
-			}
 			return true
 		})
 		nd.tables[name] = nt

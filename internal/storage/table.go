@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"tintin/internal/sqltypes"
 )
@@ -9,16 +10,15 @@ import (
 // Table is a tombstoned in-memory row store with hash indexes.
 //
 // Rows keep their slot for their lifetime; deletion marks a tombstone and
-// recycles the slot on a free list. Indexes map encoded key bytes to slot
-// lists and are maintained eagerly on both insert and delete — lookups
-// never write, which is what makes concurrent reading sound.
+// recycles the slot on a free list. Indexes are maintained eagerly on both
+// insert and delete — lookups never write, which is what makes concurrent
+// reading sound.
 //
-// Concurrency: a Table holds no internal scratch state, so any number of
-// goroutines may read concurrently (Scan, Rows, Len, Index.ScanIdentical
-// with per-caller scratch) as long as nothing mutates the table — an immutable
-// snapshot view, which is exactly the state safeCommit's parallel check
-// phase runs in. Mutations (Insert, Delete*, Truncate, index construction)
-// require exclusive access.
+// Concurrency: a Table holds no scratch state, so any number of goroutines
+// may read concurrently (Scan, Rows, Len, Index.ScanIdentical) as long as
+// nothing mutates the table — an immutable snapshot view, which is exactly
+// the state safeCommit's parallel check phase runs in. Mutations (Insert,
+// Delete*, Truncate, index construction) require exclusive access.
 type Table struct {
 	schema *Schema
 
@@ -27,38 +27,149 @@ type Table struct {
 	free  []int
 	live  int
 
-	pkIndex  map[string]int    // primary key -> slot (only when PK declared)
-	indexes  map[string]*index // column-set key -> secondary index
-	lastSlot int               // slot used by the most recent insertRaw
-
-	// allCols is [0..len(columns)), precomputed for tuple-identity probes.
+	// indexes holds every hash index of the table, pk included.
+	indexes []*index
+	// pk indexes the primary key (nil when none is declared). It is also
+	// the table's row identity: DeleteRow and ContainsRow probe it.
+	pk *index
+	// allCols is [0..len(columns)). On a table without a primary key (the
+	// event tables) idIx, built on first use, indexes all of them for row
+	// identity.
 	allCols []int
-	// idIx caches the tuple-identity index (all columns) once built.
-	idIx *index
-	// writeScratch is key-encoding scratch for the write path only
-	// (Insert/Delete/ContainsRow), which requires exclusive access anyway.
-	// The concurrent read path (Index.ScanIdentical) brings caller-owned
-	// scratch and never touches it.
-	writeScratch []byte
+	idIx    *index
 }
 
+// index is a hash index without per-row allocation. Rows whose indexed
+// columns hash alike form one chain, linked through the per-slot next and
+// prev arrays in insertion order; chains maps each hash to its chain's
+// ends. Distinct keys may share a chain, so every probe verifies each
+// candidate's columns against the probe values: by their sqltypes Words,
+// kept per slot in words so the row itself is rarely loaded, and by
+// sqltypes.Identical on the row for values without a word. The hash
+// narrows, the comparison decides.
 type index struct {
-	cols  []int
-	slots map[string][]int
+	cols []int
+	// valCols is [0..len(cols)), the offsets of a probe's values.
+	valCols    []int
+	chains     map[uint64]chain
+	next, prev []int32
+	words      []uint64 // len(cols) per slot
+}
+
+type chain struct{ first, last int32 }
+
+// noSlot ends a chain.
+const noSlot = -1
+
+// hashValue hashes one key value into the running hash h. It is a variable
+// so tests can make every key collide and show that verification, not the
+// hash, decides each match.
+var hashValue = sqltypes.Value.Hash
+
+// ForceHashCollisions makes every index key hash alike, so each index is a
+// single chain, until the returned restore func runs. It is a seam for
+// tests showing that candidate verification, not the hash, decides every
+// match; tables must be built and used under one setting.
+func ForceHashCollisions() (restore func()) {
+	saved := hashValue
+	hashValue = func(sqltypes.Value, uint64) uint64 { return 0 }
+	return func() { hashValue = saved }
+}
+
+// hashOn hashes the values of r at cols.
+func hashOn(r sqltypes.Row, cols []int) uint64 {
+	var h uint64
+	for _, c := range cols {
+		h = hashValue(r[c], h)
+	}
+	return h
+}
+
+// link appends slot s, holding r, to the end of its chain.
+func (ix *index) link(s int32, r sqltypes.Row) {
+	n := len(ix.cols)
+	for i, c := range ix.cols {
+		ix.words[int(s)*n+i] = r[c].Word()
+	}
+	h := hashOn(r, ix.cols)
+	ix.next[s] = noSlot
+	c, ok := ix.chains[h]
+	if !ok {
+		ix.prev[s] = noSlot
+		ix.chains[h] = chain{first: s, last: s}
+		return
+	}
+	ix.prev[s] = c.last
+	ix.next[c.last] = s
+	c.last = s
+	ix.chains[h] = c
+}
+
+// unlink removes slot s, holding r, from its chain.
+func (ix *index) unlink(s int32, r sqltypes.Row) {
+	h := hashOn(r, ix.cols)
+	p, n := ix.prev[s], ix.next[s]
+	c := ix.chains[h]
+	if p == noSlot {
+		c.first = n
+	} else {
+		ix.next[p] = n
+	}
+	if n == noSlot {
+		c.last = p
+	} else {
+		ix.prev[n] = p
+	}
+	if c.first == noSlot {
+		delete(ix.chains, h)
+	} else {
+		ix.chains[h] = c
+	}
+}
+
+// first returns the first live slot, in chain order, whose indexed columns
+// are Identical to key's columns at keyCols, or noSlot.
+func (t *Table) first(ix *index, key sqltypes.Row, keyCols []int) int32 {
+	c, ok := ix.chains[hashOn(key, keyCols)]
+	if !ok {
+		return noSlot
+	}
+	return t.match(ix, c.first, key, keyCols)
+}
+
+// after continues first past slot s.
+func (t *Table) after(ix *index, s int32, key sqltypes.Row, keyCols []int) int32 {
+	return t.match(ix, ix.next[s], key, keyCols)
+}
+
+func (t *Table) match(ix *index, s int32, key sqltypes.Row, keyCols []int) int32 {
+	n := len(ix.cols)
+next:
+	for ; s != noSlot; s = ix.next[s] {
+		words := ix.words[int(s)*n : int(s)*n+n]
+		for i, c := range ix.cols {
+			v := key[keyCols[i]]
+			w := v.Word()
+			if w != words[i] || w == sqltypes.NoWord && !sqltypes.Identical(t.rows[s][c], v) {
+				continue next
+			}
+		}
+		return s
+	}
+	return noSlot
 }
 
 // NewTable creates an empty table with the given schema.
 func NewTable(schema *Schema) *Table {
 	t := &Table{
 		schema:  schema,
-		indexes: make(map[string]*index),
 		allCols: make([]int, len(schema.Columns)),
 	}
 	for i := range t.allCols {
 		t.allCols[i] = i
 	}
-	if len(schema.PrimaryKey) > 0 {
-		t.pkIndex = make(map[string]int)
+	if pk := schema.PrimaryKeyOffsets(); pk != nil {
+		t.pk = t.ensureIndexOffsets(pk)
 	}
 	return t
 }
@@ -71,14 +182,6 @@ func (t *Table) Name() string { return t.schema.Name }
 
 // Len returns the number of live rows.
 func (t *Table) Len() int { return t.live }
-
-func indexKey(cols []int) string {
-	b := make([]byte, 0, len(cols)*3)
-	for _, c := range cols {
-		b = append(b, byte(c>>8), byte(c), ':')
-	}
-	return string(b)
-}
 
 // EnsureIndex builds a hash index over the named columns if one does not
 // already exist.
@@ -96,26 +199,40 @@ func (t *Table) EnsureIndex(cols ...string) error {
 }
 
 func (t *Table) ensureIndexOffsets(offs []int) *index {
-	key := indexKey(offs)
-	if ix, ok := t.indexes[key]; ok {
+	if ix := t.indexOn(offs); ix != nil {
 		return ix
 	}
-	ix := &index{cols: append([]int(nil), offs...), slots: make(map[string][]int)}
+	ix := &index{
+		cols:    append([]int(nil), offs...),
+		valCols: make([]int, len(offs)),
+		chains:  make(map[uint64]chain, t.live),
+		next:    make([]int32, len(t.rows)),
+		prev:    make([]int32, len(t.rows)),
+		words:   make([]uint64, len(t.rows)*len(offs)),
+	}
+	for i := range ix.valCols {
+		ix.valCols[i] = i
+	}
 	for slot, r := range t.rows {
 		if t.alive[slot] {
-			k := r.KeyOn(ix.cols)
-			ix.slots[k] = append(ix.slots[k], slot)
+			ix.link(int32(slot), r)
 		}
 	}
-	t.indexes[key] = ix
+	t.indexes = append(t.indexes, ix)
 	return ix
 }
 
-// HasIndexOn reports whether an index over exactly these column offsets exists.
-func (t *Table) HasIndexOn(offs []int) bool {
-	_, ok := t.indexes[indexKey(offs)]
-	return ok
+func (t *Table) indexOn(offs []int) *index {
+	for _, ix := range t.indexes {
+		if slices.Equal(ix.cols, offs) {
+			return ix
+		}
+	}
+	return nil
 }
+
+// HasIndexOn reports whether an index over exactly these column offsets exists.
+func (t *Table) HasIndexOn(offs []int) bool { return t.indexOn(offs) != nil }
 
 // Insert validates and stores a row. With a declared primary key, duplicate
 // keys are rejected.
@@ -124,12 +241,8 @@ func (t *Table) Insert(r sqltypes.Row) error {
 	if err != nil {
 		return err
 	}
-	if t.pkIndex != nil {
-		k := r.KeyOn(t.schema.PrimaryKeyOffsets())
-		if _, dup := t.pkIndex[k]; dup {
-			return fmt.Errorf("storage: table %s: duplicate primary key %s", t.Name(), r)
-		}
-		defer func() { t.pkIndex[k] = t.lastSlot }()
+	if t.pk != nil && t.first(t.pk, r, t.pk.cols) != noSlot {
+		return fmt.Errorf("storage: table %s: duplicate primary key %s", t.Name(), r)
 	}
 	t.insertRaw(r)
 	return nil
@@ -146,12 +259,17 @@ func (t *Table) insertRaw(r sqltypes.Row) {
 		slot = len(t.rows)
 		t.rows = append(t.rows, r)
 		t.alive = append(t.alive, true)
+		for _, ix := range t.indexes {
+			ix.next = append(ix.next, noSlot)
+			ix.prev = append(ix.prev, noSlot)
+			for range ix.cols {
+				ix.words = append(ix.words, 0)
+			}
+		}
 	}
 	t.live++
-	t.lastSlot = slot
 	for _, ix := range t.indexes {
-		k := r.KeyOn(ix.cols)
-		ix.slots[k] = append(ix.slots[k], slot)
+		ix.link(int32(slot), r)
 	}
 }
 
@@ -177,58 +295,33 @@ func (t *Table) Rows() []sqltypes.Row {
 	return out
 }
 
-// lookup returns the index's bucket for vals: the one key lookup every
-// probe goes through. Keys are EncodeKey bytes, where NULL encodes like any
-// other value, so a NULL probe value finds the rows holding NULL — tuple
-// identity, agreeing with sqltypes.Identical. SQL equality (NULL matches
-// nothing) is the caller's rule to apply before probing. The probe key is
-// encoded into *scratch, which is grown and written back so a caller
-// reusing one scratch across probes never allocates. lookup itself is
-// read-only: safe for concurrent use as long as each caller brings its own
-// scratch and the table is not being mutated.
-func (ix *index) lookup(scratch *[]byte, vals []sqltypes.Value) []int {
-	kb := (*scratch)[:0]
-	for _, v := range vals {
-		kb = v.EncodeKey(kb)
-	}
-	*scratch = kb
-	return ix.slots[string(kb)]
-}
-
-// probeSlots resolves (building if needed) the index on offs and probes it
+// scanEqual resolves (building if needed) the index on offs and probes it
 // under SQL equality: a NULL value matches nothing. Building is a mutation;
 // this path is for cold callers with exclusive access (the hot path holds
-// an Index handle and brings its own scratch).
-func (t *Table) probeSlots(offs []int, vals []sqltypes.Value) []int {
-	if anyNull(vals) {
-		return nil
-	}
-	var scratch []byte
-	return t.ensureIndexOffsets(offs).lookup(&scratch, vals)
+// an Index handle).
+func (t *Table) scanEqual(offs []int, vals []sqltypes.Value, yield func(sqltypes.Row) bool) {
+	x := Index{t: t, ix: t.ensureIndexOffsets(offs)}
+	x.ScanEqual(vals, yield)
 }
 
 // LookupEqual returns the live rows whose columns at offs equal vals,
 // using (and if needed building) a hash index.
 func (t *Table) LookupEqual(offs []int, vals []sqltypes.Value) []sqltypes.Row {
-	slots := t.probeSlots(offs, vals)
-	if len(slots) == 0 {
-		return nil
-	}
-	out := make([]sqltypes.Row, 0, len(slots))
-	for _, s := range slots {
-		out = append(out, t.rows[s])
-	}
+	var out []sqltypes.Row
+	t.scanEqual(offs, vals, func(r sqltypes.Row) bool {
+		out = append(out, r)
+		return true
+	})
 	return out
 }
 
 // Index is a stable handle on one hash index, letting compiled query plans
 // probe repeatedly without re-resolving the column set. The handle stays
 // valid for the lifetime of the table: Truncate and row churn update the
-// underlying buckets in place.
+// underlying chains in place.
 //
-// The handle holds no scratch state, so one Index may be shared by any
-// number of concurrent readers (each bringing its own scratch buffer via
-// ScanIdentical) while the table is quiescent.
+// The handle holds no state of its own, so one Index may be shared by any
+// number of concurrent readers while the table is quiescent.
 type Index struct {
 	t  *Table
 	ix *index
@@ -253,19 +346,18 @@ func (x *Index) ScanEqual(vals []sqltypes.Value, yield func(sqltypes.Row) bool) 
 	if anyNull(vals) {
 		return
 	}
-	var scratch []byte
-	x.ScanIdentical(&scratch, vals, yield)
+	x.ScanIdentical(vals, yield)
 }
 
-// ScanIdentical yields each live row whose indexed columns are identical to
-// vals (sqltypes.Identical: NULL matches NULL); returning false stops the
-// scan. It is the query engine's probe, which applies SQL equality's NULL
-// rule itself. The caller-owned key-encoding scratch lets a hot loop probe
-// without allocating. It is strictly read-only: concurrent callers with
-// private scratch buffers are safe over a quiescent table.
-func (x *Index) ScanIdentical(scratch *[]byte, vals []sqltypes.Value, yield func(sqltypes.Row) bool) {
-	for _, s := range x.ix.lookup(scratch, vals) {
-		if !yield(x.t.rows[s]) {
+// ScanIdentical yields, in insertion order, each live row whose indexed
+// columns are identical to vals (sqltypes.Identical: NULL matches NULL);
+// returning false stops the scan. It is the query engine's probe, which
+// applies SQL equality's NULL rule itself. It allocates nothing and is
+// strictly read-only: concurrent callers are safe over a quiescent table.
+func (x *Index) ScanIdentical(vals []sqltypes.Value, yield func(sqltypes.Row) bool) {
+	t, ix := x.t, x.ix
+	for s := t.first(ix, vals, ix.valCols); s != noSlot; s = t.after(ix, s, vals, ix.valCols) {
+		if !yield(t.rows[s]) {
 			return
 		}
 	}
@@ -273,7 +365,12 @@ func (x *Index) ScanIdentical(scratch *[]byte, vals []sqltypes.Value, yield func
 
 // ContainsEqual reports whether any live row matches vals at offs.
 func (t *Table) ContainsEqual(offs []int, vals []sqltypes.Value) bool {
-	return len(t.probeSlots(offs, vals)) > 0
+	found := false
+	t.scanEqual(offs, vals, func(sqltypes.Row) bool {
+		found = true
+		return false
+	})
+	return found
 }
 
 func anyNull(vals []sqltypes.Value) bool {
@@ -285,27 +382,32 @@ func anyNull(vals []sqltypes.Value) bool {
 	return false
 }
 
-// identityIndex resolves (building once) the all-columns index.
-func (t *Table) identityIndex() *index {
-	if t.idIx == nil {
-		t.idIx = t.ensureIndexOffsets(t.allCols)
-	}
-	return t.idIx
-}
-
-// ContainsRow reports whether an identical row exists (tuple identity:
-// NULL matches NULL). Write-path scratch: requires exclusive access.
-func (t *Table) ContainsRow(r sqltypes.Row) bool {
+// findRow returns the slot of a live row identical to r (tuple identity:
+// NULL matches NULL), or noSlot. With a primary key it probes the key and
+// confirms the whole row; without one it probes the all-columns index,
+// built on first use. Either way the cost is independent of table size.
+func (t *Table) findRow(r sqltypes.Row) int32 {
 	if len(r) != len(t.schema.Columns) {
-		return false
+		return noSlot
 	}
-	for _, s := range t.identityIndex().lookup(&t.writeScratch, r) {
+	ix := t.pk
+	if ix == nil {
+		if t.idIx == nil {
+			t.idIx = t.ensureIndexOffsets(t.allCols)
+		}
+		ix = t.idIx
+	}
+	for s := t.first(ix, r, ix.cols); s != noSlot; s = t.after(ix, s, r, ix.cols) {
 		if sqltypes.IdenticalRows(t.rows[s], r) {
-			return true
+			return s
 		}
 	}
-	return false
+	return noSlot
 }
+
+// ContainsRow reports whether an identical row exists. It may build the
+// identity index: requires exclusive access.
+func (t *Table) ContainsRow(r sqltypes.Row) bool { return t.findRow(r) != noSlot }
 
 // Delete removes every live row for which match returns true and reports
 // how many were removed.
@@ -321,62 +423,40 @@ func (t *Table) Delete(match func(sqltypes.Row) bool) int {
 }
 
 // DeleteRow removes one row identical to r, reporting whether one was
-// found. It probes the all-columns hash index (tuple identity treats NULL
-// as identical to NULL, and the key encoding agrees), so bulk event
-// application stays linear in the update size rather than the table size.
+// found. It probes like ContainsRow, so bulk event application stays
+// linear in the update size rather than the table size.
 func (t *Table) DeleteRow(r sqltypes.Row) bool {
-	if len(r) != len(t.schema.Columns) {
+	s := t.findRow(r)
+	if s == noSlot {
 		return false
 	}
-	for _, s := range t.identityIndex().lookup(&t.writeScratch, r) {
-		if sqltypes.IdenticalRows(t.rows[s], r) {
-			t.deleteSlot(s)
-			return true
-		}
-	}
-	return false
+	t.deleteSlot(int(s))
+	return true
 }
 
 func (t *Table) deleteSlot(slot int) {
 	r := t.rows[slot]
+	for _, ix := range t.indexes {
+		ix.unlink(int32(slot), r)
+	}
 	t.alive[slot] = false
 	t.rows[slot] = nil
 	t.free = append(t.free, slot)
 	t.live--
-	if t.pkIndex != nil {
-		delete(t.pkIndex, r.KeyOn(t.schema.PrimaryKeyOffsets()))
-	}
-	// Maintain secondary indexes eagerly: a freed slot may be reused by a
-	// row with the same key, so stale bucket entries cannot be detected
-	// lazily.
-	for _, ix := range t.indexes {
-		k := r.KeyOn(ix.cols)
-		bucket := ix.slots[k]
-		for i, s := range bucket {
-			if s == slot {
-				bucket[i] = bucket[len(bucket)-1]
-				bucket = bucket[:len(bucket)-1]
-				break
-			}
-		}
-		if len(bucket) == 0 {
-			delete(ix.slots, k)
-		} else {
-			ix.slots[k] = bucket
-		}
-	}
 }
 
-// Truncate removes all rows and resets indexes.
+// Truncate removes all rows. Rows and indexes are cleared in place and keep
+// their capacity, so an event table refilled to its previous size on every
+// commit allocates nothing.
 func (t *Table) Truncate() {
 	t.rows = t.rows[:0]
 	t.alive = t.alive[:0]
 	t.free = t.free[:0]
 	t.live = 0
-	if t.pkIndex != nil {
-		t.pkIndex = make(map[string]int)
-	}
 	for _, ix := range t.indexes {
-		ix.slots = make(map[string][]int)
+		clear(ix.chains)
+		ix.next = ix.next[:0]
+		ix.prev = ix.prev[:0]
+		ix.words = ix.words[:0]
 	}
 }
